@@ -14,6 +14,7 @@ from .analysis import (
     classify,
     compare_models,
     exclude_and_refit,
+    fit_random_effects,
     leave_one_out,
 )
 from .dataset import (
@@ -38,13 +39,11 @@ from .heterogeneity import (
     StudyContribution,
     q_decompose,
     q_total,
-    screen_heterogeneity,
 )
 from .models import (
     EstimationError,
     ModelFit,
     ModelKind,
-    estimate_phi,
     estimate_tau2_dl,
     estimate_tau2_reml,
     fit_fe,

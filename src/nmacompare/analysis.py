@@ -8,6 +8,8 @@ preference.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -15,7 +17,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .dataset import DatasetError, EffectMeasure, NetworkDataset, build_design_matrix, load_dataset
+from .dataset import (
+    DatasetError,
+    DesignMatrix,
+    EffectMeasure,
+    NetworkDataset,
+    build_design_matrix,
+    load_dataset,
+)
 from .heterogeneity import QDecomposition, ScreenResult, q_decompose
 from .models import (
     DEFAULT_CI_LEVEL,
@@ -36,6 +45,7 @@ __all__ = [
     "classify",
     "ComparisonReport",
     "SensitivityRecord",
+    "fit_random_effects",
     "compare_models",
     "exclude_and_refit",
     "leave_one_out",
@@ -44,6 +54,7 @@ __all__ = [
     "batch_run",
     "batch_to_csv",
     "batch_to_json",
+    "format_csv",
 ]
 
 ANALYSIS_ERRORS = (DatasetError, EstimationError, NumericError)
@@ -106,16 +117,20 @@ class ComparisonReport:
     classification: Classification | None
     untestable: bool
 
-    def screen(self, alpha: float = 0.05) -> ScreenResult:
-        """Heterogeneity screen at level alpha, reusing the stored decomposition."""
-        if self.q.df_het == 0:
-            return ScreenResult.UNTESTABLE
-        assert self.q.p_het is not None
-        return (
-            ScreenResult.HETEROGENEOUS
-            if self.q.p_het < alpha
-            else ScreenResult.HOMOGENEOUS
-        )
+
+def fit_random_effects(
+    ds: NetworkDataset,
+    x: DesignMatrix,
+    fe: ModelFit,
+    tau_method: TauMethod,
+    ci_level: float,
+) -> ModelFit:
+    """Random-effects fit at the tau^2 that ``tau_method`` estimates; ``fe`` is the FE fit."""
+    if tau_method is TauMethod.DL:
+        tau2, kind = estimate_tau2_dl(ds, x, fe), ModelKind.RE_DL
+    else:
+        tau2, kind = estimate_tau2_reml(ds, x), ModelKind.RE_REML
+    return fit_re(ds, x, tau2, kind=kind, ci_level=ci_level)
 
 
 def compare_models(
@@ -123,20 +138,14 @@ def compare_models(
     tau_method: TauMethod = TauMethod.DL,
     ci_level: float = DEFAULT_CI_LEVEL,
 ) -> ComparisonReport:
-    """Fit FE, RE and ME models and compare RE vs ME by AIC."""
+    """Fit FE once, derive RE and ME from it, and compare RE vs ME by AIC."""
     if not (0.0 < ci_level < 1.0):
         raise ValueError(f"ci_level must be in (0, 1), got {ci_level!r}")
     x = build_design_matrix(ds)
     fe = fit_fe(ds, x, ci_level)
     q = q_decompose(ds, x, fe)
-    if tau_method is TauMethod.DL:
-        tau2 = estimate_tau2_dl(ds, x)
-        re_kind = ModelKind.RE_DL
-    else:
-        tau2 = estimate_tau2_reml(ds, x)
-        re_kind = ModelKind.RE_REML
-    re = fit_re(ds, x, tau2, kind=re_kind, ci_level=ci_level)
-    me = fit_me(ds, x, ci_level)
+    re = fit_random_effects(ds, x, fe, tau_method, ci_level)
+    me = fit_me(ds, fe)
     delta = me.aic - re.aic
     untestable = q.df_het == 0
     return ComparisonReport(
@@ -150,7 +159,7 @@ def compare_models(
         re=re,
         me=me,
         q=q,
-        tau2=tau2,
+        tau2=float(re.tau2),
         phi=float(me.phi),
         aic_me=me.aic,
         aic_re=re.aic,
@@ -273,7 +282,7 @@ def _batch_one(source: str | Path, alpha: float, tau_method: TauMethod) -> Batch
         report = compare_models(ds, tau_method)
     except ANALYSIS_ERRORS as exc:
         return BatchRow(source=str(path), name=path.stem, error=str(exc))
-    screen = report.screen(alpha)
+    screen = report.q.screen(alpha)
     classified = screen is ScreenResult.HETEROGENEOUS and report.classification is not None
     return BatchRow(
         source=str(path),
@@ -355,31 +364,29 @@ _BATCH_COLUMNS = (
 )
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
+def format_csv(rows: Iterable[Sequence[object]]) -> str:
+    """CSV text with "\n" line ends; None is an empty cell and floats print as ``.6g``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        ["" if v is None else format(v, ".6g") if isinstance(v, float) else v for v in row]
+        for row in rows
+    )
+    return out.getvalue()
 
 
 def batch_to_csv(result: BatchResult) -> str:
     """Render the summary table as CSV (deterministic formatting)."""
-    lines = [",".join(_BATCH_COLUMNS)]
-    for row in result.rows:
-        cells = (
-            row.name, row.measure, row.m, row.n, row.n_designs, row.q_het,
-            row.df_het, row.p_het, row.screen, row.tau2, row.phi, row.aic_me,
-            row.aic_re, row.delta_aic, row.classification, row.error,
-        )
-        lines.append(",".join(_quote(_cell(c)) for c in cells))
-    return "\n".join(lines) + "\n"
-
-
-def _quote(cell: str) -> str:
-    if any(ch in cell for ch in ",\"\n"):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+    return format_csv(
+        [_BATCH_COLUMNS]
+        + [
+            (
+                row.name, row.measure, row.m, row.n, row.n_designs, row.q_het,
+                row.df_het, row.p_het, row.screen, row.tau2, row.phi, row.aic_me,
+                row.aic_re, row.delta_aic, row.classification, row.error,
+            )
+            for row in result.rows
+        ]
+    )
 
 
 def batch_to_json(result: BatchResult) -> dict:

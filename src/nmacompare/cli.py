@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .analysis import (
     ANALYSIS_ERRORS,
@@ -20,6 +21,8 @@ from .analysis import (
     batch_to_csv,
     compare_models,
     exclude_and_refit,
+    fit_random_effects,
+    format_csv,
     leave_one_out,
 )
 from .dataset import (
@@ -30,7 +33,7 @@ from .dataset import (
     load_dataset,
 )
 from .heterogeneity import q_decompose
-from .models import ModelKind, estimate_tau2_dl, estimate_tau2_reml, fit_fe, fit_me, fit_re
+from .models import fit_fe, fit_me
 from .report import fit_report, forest_data, network_data, per_study_csv, render_svg
 
 _EXIT_OK = 0
@@ -182,15 +185,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.model == "fe":
         fit = fe
     elif args.model == "me":
-        fit = fit_me(ds, x, args.ci_level)
+        fit = fit_me(ds, fe)
     else:
-        if args.tau_method == "dl":
-            tau2 = estimate_tau2_dl(ds, x)
-            kind = ModelKind.RE_DL
-        else:
-            tau2 = estimate_tau2_reml(ds, x)
-            kind = ModelKind.RE_REML
-        fit = fit_re(ds, x, tau2, kind=kind, ci_level=args.ci_level)
+        fit = fit_random_effects(ds, x, fe, TauMethod.parse(args.tau_method), args.ci_level)
     _emit_json(args, fit_report(ds, [fit], q))
     return _EXIT_OK
 
@@ -233,36 +230,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_loo(args: argparse.Namespace) -> int:
     ds = _load(args)
     records = leave_one_out(ds, TauMethod.parse(args.tau_method))
-    lines = ["study_id,skipped,reason,q_het,delta_aic,q_het_delta,delta_aic_delta,classification"]
-
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return format(v, ".6g")
-        text = str(v)
-        if any(ch in text for ch in ',"\n'):
-            return '"' + text.replace('"', '""') + '"'
-        return text
-
+    rows: list[Sequence] = [
+        "study_id,skipped,reason,q_het,delta_aic,q_het_delta,delta_aic_delta,classification".split(",")
+    ]
     for rec in records:
-        if rec.skipped:
-            lines.append(
-                ",".join(cell(v) for v in (rec.excluded[0], "yes", rec.reason, None, None, None, None, ""))
-            )
+        if rec.report is None:
+            rows.append((rec.excluded[0], "yes", rec.reason, None, None, None, None, ""))
         else:
-            assert rec.report is not None
             cls = rec.report.classification.value if rec.report.classification else ""
-            lines.append(
-                ",".join(
-                    cell(v)
-                    for v in (
-                        rec.excluded[0], "no", "", rec.report.q.q_het,
-                        rec.report.delta_aic, rec.q_het_delta, rec.delta_aic_delta, cls,
-                    )
-                )
-            )
-    _emit(args, "\n".join(lines) + "\n")
+            rows.append((
+                rec.excluded[0], "no", "", rec.report.q.q_het,
+                rec.report.delta_aic, rec.q_het_delta, rec.delta_aic_delta, cls,
+            ))
+    _emit(args, format_csv(rows))
     return _EXIT_OK
 
 

@@ -84,6 +84,13 @@ class ContrastObservation:
             raise DatasetError(f"study {self.study_id!r}: non-finite effect")
         if not math.isfinite(self.se) or self.se <= 0:
             raise DatasetError(f"study {self.study_id!r}: non-positive standard error")
+        # The fits use se^2 and 1/se^2; both must be positive finite numbers.
+        variance = self.se * self.se
+        if not (0.0 < variance < math.inf and 1.0 / variance < math.inf):
+            raise DatasetError(
+                f"study {self.study_id!r}: standard error {self.se!r} gives a variance se^2 "
+                "or a weight 1/se^2 that is not a positive finite number"
+            )
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -363,14 +370,14 @@ def parse_dataset(
     """
     if isinstance(source, (bytes, bytearray)):
         try:
-            text = bytes(source).decode("utf-8")
+            text = bytes(source).decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DatasetError(f"input is not valid UTF-8: {exc}") from None
     elif isinstance(source, str):
         text = source
     else:
         raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else str(raw)
+        text = raw.decode("utf-8-sig") if isinstance(raw, (bytes, bytearray)) else str(raw)
 
     if isinstance(measure, str):
         measure = EffectMeasure.parse(measure)
@@ -528,9 +535,13 @@ def _parse_json(
         missing = [k for k in ("treat_a", "treat_b", "effect", "se") if k not in entry]
         if missing:
             raise DatasetError(f"study {i}: missing field(s) {', '.join(missing)}")
+        # json.loads yields exact types, so these checks also reject bools
         for key in ("effect", "se"):
-            if isinstance(entry[key], bool) or not isinstance(entry[key], (int, float)):
+            if type(entry[key]) not in (int, float):
                 raise DatasetError(f"study {i}: field {key!r} must be a number")
+        for key in ("study_id", "treat_a", "treat_b"):
+            if type(entry.get(key, "")) not in (str, int, float):
+                raise DatasetError(f"study {i}: field {key!r} must be a string or a number")
         study_id = str(entry.get("study_id") or f"row{i}")
         try:
             studies.append(

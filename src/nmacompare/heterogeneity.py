@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import Design, DesignMatrix, NetworkDataset, group_designs
-from .models import ModelFit, fit_fe
 from .numerics import chi_square_sf
+
+if TYPE_CHECKING:
+    from .models import ModelFit
 
 __all__ = [
     "DesignContribution",
@@ -30,7 +33,6 @@ __all__ = [
     "ScreenResult",
     "q_total",
     "q_decompose",
-    "screen_heterogeneity",
 ]
 
 
@@ -74,6 +76,19 @@ class QDecomposition:
     per_design: tuple[DesignContribution, ...]
     per_study: tuple[StudyContribution, ...]
 
+    def screen(self, alpha: float = 0.05) -> ScreenResult:
+        """Test within-design heterogeneity at level alpha.
+
+        Returns UNTESTABLE when every design has a single study (df_het = 0);
+        such networks cannot distinguish additive from multiplicative
+        heterogeneity and should not enter model-comparison summaries.
+        """
+        if not (0.0 < alpha < 1.0):
+            raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+        if self.p_het is None:
+            return ScreenResult.UNTESTABLE
+        return ScreenResult.HETEROGENEOUS if self.p_het < alpha else ScreenResult.HOMOGENEOUS
+
 
 class ScreenResult(Enum):
     HETEROGENEOUS = "heterogeneous"
@@ -81,7 +96,7 @@ class ScreenResult(Enum):
     UNTESTABLE = "untestable"
 
 
-def q_total(ds: NetworkDataset, x: DesignMatrix, fe: ModelFit) -> float:
+def q_total(ds: NetworkDataset, fe: ModelFit) -> float:
     """Lack-of-fit statistic of the fixed-effect model: r' V^-1 r."""
     r = fe.residuals
     return float(np.sum(r * r * ds.weights()))
@@ -118,7 +133,7 @@ def q_decompose(ds: NetworkDataset, x: DesignMatrix, fe: ModelFit) -> QDecomposi
     q_inc = q_inc_acc if df_inc > 0 else 0.0
 
     return QDecomposition(
-        q_total=q_total(ds, x, fe),
+        q_total=q_total(ds, fe),
         q_het=q_het,
         q_inc=q_inc,
         df_het=df_het,
@@ -130,21 +145,3 @@ def q_decompose(ds: NetworkDataset, x: DesignMatrix, fe: ModelFit) -> QDecomposi
             StudyContribution(i, float(per_study_q[i]), float(w[i])) for i in range(m)
         ),
     )
-
-
-def screen_heterogeneity(
-    ds: NetworkDataset, x: DesignMatrix, alpha: float = 0.05
-) -> ScreenResult:
-    """Test within-design heterogeneity at level alpha.
-
-    Returns UNTESTABLE when every design has a single study (df_het = 0);
-    such networks cannot distinguish additive from multiplicative
-    heterogeneity and should not enter model-comparison summaries.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    q = q_decompose(ds, x, fit_fe(ds, x))
-    if q.df_het == 0:
-        return ScreenResult.UNTESTABLE
-    assert q.p_het is not None
-    return ScreenResult.HETEROGENEOUS if q.p_het < alpha else ScreenResult.HOMOGENEOUS

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import DesignMatrix, NetworkDataset
+from .heterogeneity import q_total
 from .numerics import NumericError, minimize_scalar, normal_quantile, solve_spd
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "fit_me",
     "estimate_tau2_dl",
     "estimate_tau2_reml",
-    "estimate_phi",
     "reml_objective",
 ]
 
@@ -197,64 +197,55 @@ def fit_re(
     )
 
 
-def _require_residual_df(ds: NetworkDataset, x: DesignMatrix) -> int:
-    df = ds.n_studies - x.cols
+def _require_residual_df(ds: NetworkDataset, n_effects: int) -> int:
+    df = ds.n_studies - n_effects
     if df <= 0:
         raise EstimationError("no residual degrees of freedom")
     return df
 
 
-def estimate_phi(ds: NetworkDataset, x: DesignMatrix) -> float:
-    """Variance inflation factor: FE residual variance, clamped at 1.
+def _require_fe(fe: ModelFit) -> None:
+    if fe.kind is not ModelKind.FE:
+        raise EstimationError(f"expected a fixed-effect fit, got {fe.kind}")
 
-    phi_hat = max(1, (y - X d_FE)' V^-1 (y - X d_FE) / (m - (n - 1))); the
-    clamp keeps the ME model from deflating within-study variances.
+
+def fit_me(ds: NetworkDataset, fe: ModelFit) -> ModelFit:
+    """Multiplicative-effect fit derived from the FE fit of the same dataset.
+
+    The point estimates are the FE ones and the covariance is phi_hat times
+    the FE covariance, with phi_hat = max(1, Q_total / (m - (n - 1))); the
+    clamp keeps the ME model from deflating within-study variances. The CI
+    level and labels come from ``fe``.
     """
-    df = _require_residual_df(ds, x)
-    fe = fit_fe(ds, x)
-    quad = float(np.sum(fe.residuals**2 * ds.weights()))
-    return max(1.0, quad / df)
-
-
-def fit_me(ds: NetworkDataset, x: DesignMatrix, ci_level: float = DEFAULT_CI_LEVEL) -> ModelFit:
-    """Multiplicative-effect fit: FE point estimates, covariance scaled by phi_hat."""
-    _check_ci_level(ci_level)
-    df = _require_residual_df(ds, x)
-    fe = fit_fe(ds, x, ci_level)
-    quad = float(np.sum(fe.residuals**2 * ds.weights()))
-    phi = max(1.0, quad / df)
+    _require_fe(fe)
+    df = _require_residual_df(ds, len(fe.d_hat))
+    phi = max(1.0, q_total(ds, fe) / df)
     ll = log_likelihood(ds.effects(), fe.fitted, phi * ds.variances())
-    k = x.cols + 1
+    k = len(fe.d_hat) + 1
     return ModelFit(
         ModelKind.ME, fe.d_hat, phi * fe.cov, fe.fitted, fe.residuals,
-        ll, 2.0 * k - 2.0 * ll, ci_level, x.column_treatments, ds.reference, phi=phi,
+        ll, 2.0 * k - 2.0 * ll, fe.ci_level, fe.column_treatments, fe.reference, phi=phi,
     )
 
 
-def estimate_tau2_dl(ds: NetworkDataset, x: DesignMatrix) -> float:
+def estimate_tau2_dl(ds: NetworkDataset, x: DesignMatrix, fe: ModelFit) -> float:
     """Method-of-moments (DerSimonian-Laird type) between-study variance.
 
     tau2_hat = max(0, (Q_total - (m - (n-1))) / (tr W - tr(W X (X'WX)^-1 X'W)))
     with W = V^-1. The denominator is E[Q_total] sensitivity to tau2, so the
     estimator is unbiased before truncation and reduces to the classical
-    DerSimonian-Laird estimator for a single pairwise comparison.
+    DerSimonian-Laird estimator for a single pairwise comparison. The trace
+    term is sum_i w_i^2 x_i' Cov_FE x_i, with Cov_FE = (X'WX)^-1 taken from
+    ``fe``, the FE fit of the same dataset and design.
     """
-    from .heterogeneity import q_total
-
-    df = _require_residual_df(ds, x)
-    fe = fit_fe(ds, x)
-    q = q_total(ds, x, fe)
+    _require_fe(fe)
+    df = _require_residual_df(ds, x.cols)
     w = ds.weights()
-    xw = x.matrix * w[:, None]
-    gram = x.matrix.T @ xw
-    try:
-        t = solve_spd(gram, xw.T)
-    except NumericError:
-        raise EstimationError("rank-deficient design") from None
-    denom = float(np.sum(w)) - float(np.sum(xw * t.solution.T))
+    fitted_var = np.sum((x.matrix @ fe.cov) * x.matrix, axis=1)
+    denom = float(np.sum(w)) - float(np.sum(w * w * fitted_var))
     if denom <= 0:
         raise EstimationError("degenerate weight structure in moment estimator")
-    return max(0.0, (q - df) / denom)
+    return max(0.0, (q_total(ds, fe) - df) / denom)
 
 
 def reml_objective(tau2: float, ds: NetworkDataset, x: DesignMatrix) -> float:
@@ -280,7 +271,7 @@ def estimate_tau2_reml(ds: NetworkDataset, x: DesignMatrix, tol: float = 1e-10) 
     for any data on these scales; any larger tau2 would imply between-study
     spread exceeding the total observed spread by an order of magnitude.
     """
-    _require_residual_df(ds, x)
+    _require_residual_df(ds, x.cols)
     y = ds.effects()
     v = ds.variances()
     hi = 10.0 * float(np.var(y, ddof=1)) + 10.0 * float(np.max(v))

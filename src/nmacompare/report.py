@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
-from .analysis import ComparisonReport
+from .analysis import ComparisonReport, format_csv
 from .dataset import DatasetError, NetworkDataset, group_designs
 from .heterogeneity import QDecomposition
 from .models import ModelFit
@@ -427,24 +427,10 @@ def fit_report(
     return doc
 
 
-def _csv_cell(text: str) -> str:
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def per_study_csv(ds: NetworkDataset, q: QDecomposition) -> str:
     """Per-study heterogeneity contributions as CSV."""
-    lines = ["study_id,treat_a,treat_b,effect,se,q_het_i"]
+    rows: list[Sequence] = ["study_id,treat_a,treat_b,effect,se,q_het_i".split(",")]
     for c in q.per_study:
         obs = ds.studies[c.index]
-        cells = (
-            obs.study_id,
-            obs.treat_a,
-            obs.treat_b,
-            format(obs.effect, ".6g"),
-            format(obs.se, ".6g"),
-            format(c.q_het, ".6g"),
-        )
-        lines.append(",".join(_csv_cell(c) for c in cells))
-    return "\n".join(lines) + "\n"
+        rows.append((obs.study_id, obs.treat_a, obs.treat_b, obs.effect, obs.se, c.q_het))
+    return format_csv(rows)

@@ -20,7 +20,6 @@ from nmacompare import (
     chi_square_sf,
     compare_models,
     derive_contrast_continuous,
-    estimate_phi,
     estimate_tau2_dl,
     estimate_tau2_reml,
     exclude_and_refit,
@@ -69,7 +68,7 @@ def random_corpus():
         ds = random_network(rng)
         x = build_design_matrix(ds)
         fe = fit_fe(ds, x)
-        me = fit_me(ds, x)
+        me = fit_me(ds, fe)
         q = q_decompose(ds, x, fe)
         corpus.append((ds, x, fe, me, q))
     return corpus
@@ -267,9 +266,9 @@ def test_c11_degenerate_equivalence(criterion):
             if q_total > shrunk.n_studies - x2.cols:
                 continue
             qualifying += 1
-            assert estimate_phi(shrunk, x2) == 1.0
-            assert estimate_tau2_dl(shrunk, x2) == 0.0
-            me = fit_me(shrunk, x2)
+            assert fit_me(shrunk, fe2).phi == 1.0
+            assert estimate_tau2_dl(shrunk, x2, fe2) == 0.0
+            me = fit_me(shrunk, fe2)
             re = fit_re(shrunk, x2, 0.0)
             assert me.aic == re.aic
         assert qualifying >= 50

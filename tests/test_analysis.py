@@ -23,6 +23,8 @@ from nmacompare import (
     leave_one_out,
 )
 
+from nmacompare import analysis, models
+
 from conftest import make_dataset, random_network, single_pair
 
 
@@ -70,7 +72,22 @@ class TestCompareModels:
         report = compare_models(ds)
         assert report.untestable
         assert report.classification is None
-        assert report.screen() is ScreenResult.UNTESTABLE
+        assert report.q.screen() is ScreenResult.UNTESTABLE
+
+    @pytest.mark.parametrize("method", [TauMethod.DL, TauMethod.REML])
+    def test_fits_fe_once(self, smoke, monkeypatch, method):
+        """RE and ME are derived from the one FE fit compare_models makes."""
+        calls = []
+        original = models.fit_fe
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (models, analysis):
+            monkeypatch.setattr(module, "fit_fe", counting)
+        compare_models(smoke, method)
+        assert len(calls) == 1
 
     def test_aic_me_independent_of_tau_method(self, smoke):
         dl = compare_models(smoke, TauMethod.DL)

@@ -147,6 +147,17 @@ class TestFit:
         assert doc["models"][0]["hetero"] == {}
 
 
+    def test_fe_without_residual_df(self, capsys, tmp_path):
+        path = tmp_path / "tree.csv"
+        path.write_text("study_id,treat_a,treat_b,effect,se\ns1,P,A,0.5,0.2\ns2,P,B,0.1,0.3\n")
+        code, out, _ = run(capsys, "fit", str(path), "--measure", "MD", "--model", "fe")
+        assert code == 0
+        assert json.loads(out)["models"][0]["kind"] == "FE"
+        code, _, err = run(capsys, "fit", str(path), "--measure", "MD", "--model", "me")
+        assert code == 1
+        assert "no residual degrees of freedom" in err
+
+
 class TestQdecomp:
     def test_json_and_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "per_study.csv"

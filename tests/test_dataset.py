@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from itertools import combinations
@@ -49,6 +50,13 @@ class TestParseContrastCsv:
             parse_dataset("study_id,treat_a,treat_b,effect,se\ns1,P,A,0.5,0\n", "csv",
                           measure="MD")
 
+    @pytest.mark.parametrize("se", ["1e-200", "1e-160", "1e200"])
+    def test_se_outside_float_range_rejected(self, se):
+        """se^2 underflows to 0, 1/se^2 overflows, or se^2 overflows."""
+        text = f"study_id,treat_a,treat_b,effect,se\ns1,P,A,0.5,0.2\ns2,P,A,0.4,{se}\n"
+        with pytest.raises(DatasetError, match="study 's2': .* not a positive finite number"):
+            parse_dataset(text, "csv", measure="MD")
+
     def test_same_treatment_rejected(self):
         with pytest.raises(DatasetError, match="identical"):
             parse_dataset("study_id,treat_a,treat_b,effect,se\ns1,P,P,0.5,0.2\n", "csv",
@@ -81,6 +89,12 @@ class TestParseContrastCsv:
         with open(corpus_dir / "nsaid_pain_relief.csv", "rb") as handle:
             ds = parse_dataset(handle, "csv", measure="logRR")
         assert ds.n_studies == 29
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO])
+    def test_utf8_bom_accepted(self, wrap):
+        raw = "\ufeffstudy_id,treat_a,treat_b,effect,se\ns1,P,A,0.5,0.2\n".encode("utf-8")
+        ds = parse_dataset(wrap(raw), "csv", measure="MD")
+        assert [o.study_id for o in ds.studies] == ["s1"]
 
     def test_invalid_utf8(self):
         with pytest.raises(DatasetError, match="not valid UTF-8"):
@@ -137,6 +151,20 @@ class TestParseJson:
                "studies": [{"treat_a": "P", "treat_b": "A", "effect": "high", "se": 0.2}]}
         with pytest.raises(DatasetError, match="must be a number"):
             parse_dataset(json.dumps(doc), "json")
+
+
+    @pytest.mark.parametrize("key", ["study_id", "treat_a", "treat_b"])
+    @pytest.mark.parametrize("value", [[], {}, None, True])
+    def test_non_scalar_label_rejected(self, key, value):
+        study = {"study_id": "s1", "treat_a": "P", "treat_b": "A", "effect": 0.5, "se": 0.2}
+        study[key] = value
+        with pytest.raises(DatasetError, match=f"field '{key}' must be a string or a number"):
+            parse_dataset(json.dumps({"measure": "MD", "studies": [study]}), "json")
+
+    def test_number_labels_accepted(self):
+        study = {"study_id": 7, "treat_a": 1, "treat_b": 2.5, "effect": 0.5, "se": 0.2}
+        ds = parse_dataset(json.dumps({"measure": "MD", "studies": [study]}), "json")
+        assert (ds.studies[0].study_id, ds.treatments) == ("7", ("1", "2.5"))
 
 
 class TestArmLevelCsv:

@@ -12,7 +12,6 @@ from nmacompare import (
     ModelKind,
     NetworkDataset,
     build_design_matrix,
-    estimate_phi,
     estimate_tau2_dl,
     estimate_tau2_reml,
     fit_fe,
@@ -100,9 +99,10 @@ class TestLogLikelihood:
         for _ in range(10):
             ds = random_network(rng, max_treatments=5, max_studies=20)
             x = build_design_matrix(ds)
-            tau2 = estimate_tau2_dl(ds, x)
+            fe = fit_fe(ds, x)
+            tau2 = estimate_tau2_dl(ds, x, fe)
             re = fit_re(ds, x, tau2)
-            me = fit_me(ds, x)
+            me = fit_me(ds, fe)
             v = ds.variances()
             sig = v + tau2
             phi = me.phi
@@ -117,24 +117,27 @@ class TestLogLikelihood:
 
 class TestTau2Dl:
     def test_clamped_at_zero(self, duplicates):
-        assert estimate_tau2_dl(duplicates, build_design_matrix(duplicates)) == 0.0
+        x = build_design_matrix(duplicates)
+        assert estimate_tau2_dl(duplicates, x, fit_fe(duplicates, x)) == 0.0
 
     def test_two_study_hand_value(self, two_study):
         # Q = 2, df = 1, denominator = tr(W) - tr(hat) = 2 - 1 = 1
-        assert estimate_tau2_dl(two_study, build_design_matrix(two_study)) == pytest.approx(
+        x = build_design_matrix(two_study)
+        assert estimate_tau2_dl(two_study, x, fit_fe(two_study, x)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_biologics_positive(self, biologics):
         x = build_design_matrix(biologics)
         fe = fit_fe(biologics, x)
-        assert q_total(biologics, x, fe) == pytest.approx(190.15, abs=2.0)
-        assert estimate_tau2_dl(biologics, x) > 0.0
+        assert q_total(biologics, fe) == pytest.approx(190.15, abs=2.0)
+        assert estimate_tau2_dl(biologics, x, fe) > 0.0
 
     def test_requires_residual_df(self):
         ds = make_dataset([("P", "A", 0.5, 0.2)])
+        x = build_design_matrix(ds)
         with pytest.raises(EstimationError, match="no residual degrees of freedom"):
-            estimate_tau2_dl(ds, build_design_matrix(ds))
+            estimate_tau2_dl(ds, x, fit_fe(ds, x))
 
     def test_reduces_to_classical_dl_single_pair(self):
         """For one pairwise comparison the denominator is the classical C."""
@@ -150,7 +153,7 @@ class TestTau2Dl:
             q = float(np.sum(w * (ys - pooled) ** 2))
             c = float(np.sum(w) - np.sum(w**2) / np.sum(w))
             expected = max(0.0, (q - (k - 1)) / c)
-            assert estimate_tau2_dl(ds, x) == pytest.approx(expected, rel=1e-10)
+            assert estimate_tau2_dl(ds, x, fit_fe(ds, x)) == pytest.approx(expected, rel=1e-10)
 
     def test_matches_explicit_trace_formula(self):
         """Oracle: evaluate the moment formula with explicit matrix products."""
@@ -167,14 +170,16 @@ class TestTau2Dl:
             q = float(resid @ w @ resid)
             denom = float(np.trace(w) - np.trace(w @ mat @ gram_inv @ mat.T @ w))
             expected = max(0.0, (q - (ds.n_studies - x.cols)) / denom)
-            assert estimate_tau2_dl(ds, x) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert estimate_tau2_dl(ds, x, fit_fe(ds, x)) == pytest.approx(
+                expected, rel=1e-9, abs=1e-12
+            )
 
 
 class TestRemlObjective:
     def test_at_zero_quadratic_equals_q_total(self, two_study):
         x = build_design_matrix(two_study)
         fe = fit_fe(two_study, x)
-        q = q_total(two_study, x, fe)
+        q = q_total(two_study, fe)
         v = two_study.variances()
         # remove the two log-det terms to isolate the quadratic form
         gram = x.matrix.T @ (x.matrix / v[:, None])
@@ -233,23 +238,33 @@ class TestTau2Reml:
 
 class TestPhiAndMe:
     def test_phi_clamped(self, duplicates):
-        assert estimate_phi(duplicates, build_design_matrix(duplicates)) == 1.0
+        x = build_design_matrix(duplicates)
+        assert fit_me(duplicates, fit_fe(duplicates, x)).phi == 1.0
 
     def test_phi_nsaid(self, nsaid):
         x = build_design_matrix(nsaid)
         fe = fit_fe(nsaid, x)
-        q = q_total(nsaid, x, fe)
-        phi = estimate_phi(nsaid, x)
+        q = q_total(nsaid, fe)
+        phi = fit_me(nsaid, fe).phi
         assert phi == pytest.approx(q / 23.0, rel=1e-12)
         assert phi == pytest.approx(82.25 / 23.0, abs=0.05)
 
     def test_phi_biologics(self, biologics):
-        assert estimate_phi(biologics, build_design_matrix(biologics)) == pytest.approx(
+        x = build_design_matrix(biologics)
+        assert fit_me(biologics, fit_fe(biologics, x)).phi == pytest.approx(
             190.15 / 24.0, abs=0.1
         )
 
+    def test_needs_fe_fit(self, two_study):
+        x = build_design_matrix(two_study)
+        re = fit_re(two_study, x, 0.5)
+        with pytest.raises(EstimationError, match="expected a fixed-effect fit"):
+            fit_me(two_study, re)
+        with pytest.raises(EstimationError, match="expected a fixed-effect fit"):
+            estimate_tau2_dl(two_study, x, re)
+
     def test_me_hand_example(self, two_study):
-        me = fit_me(two_study, build_design_matrix(two_study))
+        me = fit_me(two_study, fit_fe(two_study, build_design_matrix(two_study)))
         assert me.d_hat[0] == pytest.approx(1.0, abs=1e-14)
         assert me.phi == pytest.approx(2.0, abs=1e-12)
         assert me.cov[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -260,20 +275,20 @@ class TestPhiAndMe:
     def test_me_point_estimates_bitwise_fe(self, nsaid):
         x = build_design_matrix(nsaid)
         fe = fit_fe(nsaid, x)
-        me = fit_me(nsaid, x)
+        me = fit_me(nsaid, fe)
         assert np.all(me.d_hat == fe.d_hat)
         assert np.all(me.fitted == fe.fitted)
 
     def test_me_cov_scaling_exact(self, smoke):
         x = build_design_matrix(smoke)
         fe = fit_fe(smoke, x)
-        me = fit_me(smoke, x)
+        me = fit_me(smoke, fe)
         assert np.array_equal(me.cov, me.phi * fe.cov)
 
     def test_ci_halfwidth_ratio_sqrt_phi(self, nsaid):
         x = build_design_matrix(nsaid)
         fe = fit_fe(nsaid, x)
-        me = fit_me(nsaid, x)
+        me = fit_me(nsaid, fe)
         for treat in x.column_treatments:
             lo_f, hi_f = fe.ci(treat)
             lo_m, hi_m = me.ci(treat)
@@ -337,21 +352,22 @@ class TestDegenerateEquivalence:
             ds2 = NetworkDataset(ds.name, ds.measure, shrunk, ds.reference)
             x2 = build_design_matrix(ds2)
             fe2 = fit_fe(ds2, x2)
-            if q_total(ds2, x2, fe2) > ds2.n_studies - x2.cols:
+            if q_total(ds2, fe2) > ds2.n_studies - x2.cols:
                 continue
             seen += 1
-            assert estimate_phi(ds2, x2) == 1.0
-            assert estimate_tau2_dl(ds2, x2) == 0.0
-            me = fit_me(ds2, x2)
+            assert fit_me(ds2, fe2).phi == 1.0
+            assert estimate_tau2_dl(ds2, x2, fe2) == 0.0
+            me = fit_me(ds2, fe2)
             re = fit_re(ds2, x2, 0.0)
             assert me.aic == re.aic
         assert seen >= 20
 
     def test_equal_variance_pair_re_equals_me(self, two_study):
         x = build_design_matrix(two_study)
-        tau2 = estimate_tau2_dl(two_study, x)
+        fe = fit_fe(two_study, x)
+        tau2 = estimate_tau2_dl(two_study, x, fe)
         re = fit_re(two_study, x, tau2)
-        me = fit_me(two_study, x)
+        me = fit_me(two_study, fe)
         assert re.d_hat[0] == pytest.approx(me.d_hat[0], abs=1e-14)
         assert re.cov[0, 0] == pytest.approx(me.cov[0, 0], abs=1e-14)
         assert re.aic == pytest.approx(me.aic, abs=1e-12)
@@ -373,9 +389,9 @@ class TestScaleAndReferenceInvariance:
         xs = build_design_matrix(scaled)
         fe, fes = fit_fe(smoke, x), fit_fe(scaled, xs)
         assert np.allclose(fes.d_hat, c * fe.d_hat, rtol=1e-10)
-        assert estimate_phi(scaled, xs) == pytest.approx(estimate_phi(smoke, x), rel=1e-10)
-        assert estimate_tau2_dl(scaled, xs) == pytest.approx(
-            c**2 * estimate_tau2_dl(smoke, x), rel=1e-8
+        assert fit_me(scaled, fes).phi == pytest.approx(fit_me(smoke, fe).phi, rel=1e-10)
+        assert estimate_tau2_dl(scaled, xs, fes) == pytest.approx(
+            c**2 * estimate_tau2_dl(smoke, x, fe), rel=1e-8
         )
         assert estimate_tau2_reml(scaled, xs) == pytest.approx(
             c**2 * estimate_tau2_reml(smoke, x), rel=1e-4
@@ -393,7 +409,7 @@ class TestScaleAndReferenceInvariance:
         fe, fef = fit_fe(smoke, x), fit_fe(flipped, xf)
         assert np.allclose(fef.d_hat, fe.d_hat, atol=1e-12)
         assert fef.aic == pytest.approx(fe.aic, abs=1e-10)
-        assert q_total(flipped, xf, fef) == pytest.approx(q_total(smoke, x, fe), rel=1e-12)
+        assert q_total(flipped, fef) == pytest.approx(q_total(smoke, fe), rel=1e-12)
 
     def test_reference_change_preserves_contrasts(self, smoke):
         """Pairwise contrasts and fitted values do not depend on the reference."""
@@ -411,7 +427,7 @@ class TestScaleAndReferenceInvariance:
                 assert so == pytest.approx(sb, rel=1e-10)
         assert np.allclose(other_fit.fitted, base.fitted, atol=1e-10)
         assert other_fit.aic == pytest.approx(base.aic, rel=1e-10)
-        me_base = fit_me(smoke, base_x)
-        me_other = fit_me(other, build_design_matrix(other))
+        me_base = fit_me(smoke, base)
+        me_other = fit_me(other, other_fit)
         assert me_other.aic == pytest.approx(me_base.aic, rel=1e-10)
         assert me_other.phi == pytest.approx(me_base.phi, rel=1e-10)
