@@ -138,7 +138,9 @@ class NetworkDataset:
     """Validated collection of two-arm contrasts over a connected treatment network.
 
     ``treatments`` is derived (sorted labels); ``reference`` defaults to the
-    lexicographically smallest treatment when not supplied.
+    lexicographically smallest treatment when not supplied. The numeric
+    columns are built once, at construction: ``effects()``, ``std_errors()``,
+    ``variances()`` and ``weights()`` return the same read-only arrays.
     """
 
     name: str
@@ -167,6 +169,16 @@ class NetworkDataset:
         if len(components) > 1:
             parts = " | ".join("{" + ",".join(c) + "}" for c in components)
             raise DatasetError(f"disconnected network: {parts}")
+        std_errors = np.array([obs.se for obs in studies], dtype=float)
+        variances = std_errors**2
+        for name, column in (
+            ("_effects", np.array([obs.effect for obs in studies], dtype=float)),
+            ("_std_errors", std_errors),
+            ("_variances", variances),
+            ("_weights", 1.0 / variances),
+        ):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     @property
     def n_studies(self) -> int:
@@ -177,17 +189,17 @@ class NetworkDataset:
         return len(self.treatments)
 
     def effects(self) -> np.ndarray:
-        return np.array([obs.effect for obs in self.studies], dtype=float)
+        return self._effects
 
     def std_errors(self) -> np.ndarray:
-        return np.array([obs.se for obs in self.studies], dtype=float)
+        return self._std_errors
 
     def variances(self) -> np.ndarray:
-        return self.std_errors() ** 2
+        return self._variances
 
     def weights(self) -> np.ndarray:
         """Inverse-variance weights 1/se^2."""
-        return 1.0 / self.variances()
+        return self._weights
 
     def study_index(self, study_id: str) -> int:
         for i, obs in enumerate(self.studies):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import DesignMatrix, NetworkDataset
 from .heterogeneity import q_total
-from .numerics import NumericError, minimize_scalar, normal_quantile, solve_spd
+from .numerics import NumericError, normal_quantile, solve_spd
 
 __all__ = [
     "EstimationError",
@@ -136,27 +136,31 @@ def _check_ci_level(ci_level: float) -> None:
         raise EstimationError(f"ci_level must be in (0, 1), got {ci_level!r}")
 
 
+def _gls_solve(x: np.ndarray, xw: np.ndarray, rhs: np.ndarray):
+    """Solve the weighted Gram system X'WX z = rhs by one Cholesky factorization.
+
+    ``xw`` is W X. Returns the ``SpdSolveResult``: the solution and log det of X'WX.
+    """
+    try:
+        return solve_spd(x.T @ xw, rhs)
+    except NumericError:
+        raise EstimationError("rank-deficient design") from None
+
+
 def _wls(x: np.ndarray, y: np.ndarray, sigma2: np.ndarray):
     """Weighted least squares with diagonal covariance ``sigma2``.
 
-    Returns (d_hat, cov, fitted, residuals, log det of the weighted Gram
-    matrix X' diag(1/sigma2) X). The covariance is the Gram inverse, obtained
-    by solving against the identity.
+    Returns (d_hat, cov, fitted, residuals). The covariance is the Gram
+    inverse, obtained by solving against the identity.
     """
-    w = 1.0 / sigma2
-    xw = x * w[:, None]
-    gram = x.T @ xw
-    p = gram.shape[0]
-    rhs = np.concatenate([(xw.T @ y)[:, None], np.eye(p)], axis=1)
-    try:
-        result = solve_spd(gram, rhs)
-    except NumericError:
-        raise EstimationError("rank-deficient design") from None
-    d_hat = result.solution[:, 0].copy()
-    cov = result.solution[:, 1:]
+    xw = x * (1.0 / sigma2)[:, None]
+    rhs = np.concatenate([(xw.T @ y)[:, None], np.eye(x.shape[1])], axis=1)
+    solution = _gls_solve(x, xw, rhs).solution
+    d_hat = solution[:, 0].copy()
+    cov = solution[:, 1:]
     cov = 0.5 * (cov + cov.T)
     fitted = x @ d_hat
-    return d_hat, cov, fitted, y - fitted, result.log_det
+    return d_hat, cov, fitted, y - fitted
 
 
 def fit_fe(ds: NetworkDataset, x: DesignMatrix, ci_level: float = DEFAULT_CI_LEVEL) -> ModelFit:
@@ -164,7 +168,7 @@ def fit_fe(ds: NetworkDataset, x: DesignMatrix, ci_level: float = DEFAULT_CI_LEV
     _check_ci_level(ci_level)
     y = ds.effects()
     v = ds.variances()
-    d_hat, cov, fitted, resid, _ = _wls(x.matrix, y, v)
+    d_hat, cov, fitted, resid = _wls(x.matrix, y, v)
     ll = log_likelihood(y, fitted, v)
     k = x.cols
     return ModelFit(
@@ -188,7 +192,7 @@ def fit_re(
     _check_ci_level(ci_level)
     y = ds.effects()
     sigma2 = ds.variances() + tau2
-    d_hat, cov, fitted, resid, _ = _wls(x.matrix, y, sigma2)
+    d_hat, cov, fitted, resid = _wls(x.matrix, y, sigma2)
     ll = log_likelihood(y, fitted, sigma2)
     k = x.cols + 1
     return ModelFit(
@@ -253,15 +257,52 @@ def reml_objective(tau2: float, ds: NetworkDataset, x: DesignMatrix) -> float:
 
     l_R(tau2) = -1/2 [ log det(Sigma) + log det(X' Sigma^-1 X) + r' Sigma^-1 r ]
     with Sigma = V + tau2 I and r the GLS residuals at Sigma; the quadratic
-    form equals y' P y of the standard REML projection.
+    form equals y' P y of the standard REML projection. One Cholesky
+    factorization of X' Sigma^-1 X gives both the log-det and the GLS fit.
     """
     if tau2 < 0:
         raise EstimationError("negative between-study variance")
     y = ds.effects()
     sigma2 = ds.variances() + tau2
-    _, _, _, resid, gram_log_det = _wls(x.matrix, y, sigma2)
+    xw = x.matrix * (1.0 / sigma2)[:, None]
+    fit = _gls_solve(x.matrix, xw, xw.T @ y)
+    resid = y - x.matrix @ fit.solution
     quad = float(np.sum(resid**2 / sigma2))
-    return -0.5 * (float(np.sum(np.log(sigma2))) + gram_log_det + quad)
+    return -0.5 * (float(np.sum(np.log(sigma2))) + fit.log_det + quad)
+
+
+def _reml_newton_terms(tau2: float, xm: np.ndarray, y: np.ndarray, v: np.ndarray):
+    """l_R(tau2), its score and the observed information -d^2 l_R / d tau2^2.
+
+    With P = W - W X (X'WX)^-1 X' W, W = (V + tau2 I)^-1 and r the GLS
+    residuals (so P y = W r):
+
+    * score       = 1/2 [ (Wr)'(Wr) - tr P ]
+    * information = y' P^3 y - 1/2 tr P^2
+
+    tr P and tr P^2 come from S = (X'WX)^-1 X' through the leverages
+    x_i' S_i and the p x p matrix S W^2 X; y' P^3 y is the weighted residual
+    sum of squares of a GLS fit of P y. Extreme weights can overflow w^2 and
+    w^3, so the score or information may come back non-finite, without a
+    warning; the caller then bisects.
+    """
+    sigma2 = v + tau2
+    w = 1.0 / sigma2
+    fit = _gls_solve(xm, xm * w[:, None], xm.T)
+    s = fit.solution
+    resid = y - xm @ (s @ (w * y))
+    py = w * resid
+    value = -0.5 * (float(np.sum(np.log(sigma2))) + fit.log_det + float(np.sum(py * resid)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = w * w
+        lev = np.sum(xm * s.T, axis=1)
+        tr_p = float(np.sum(w - w2 * lev))
+        score = 0.5 * (float(np.sum(py * py)) - tr_p)
+        ppy = py - xm @ (s @ (w * py))
+        k = (s * w2) @ xm
+        tr_p2 = float(np.sum(w2) - 2.0 * np.sum(w2 * w * lev) + np.sum(k * k.T))
+        info = float(np.sum(w * ppy * ppy)) - 0.5 * tr_p2
+    return value, score, info
 
 
 def estimate_tau2_reml(ds: NetworkDataset, x: DesignMatrix, tol: float = 1e-10) -> float:
@@ -270,9 +311,56 @@ def estimate_tau2_reml(ds: NetworkDataset, x: DesignMatrix, tol: float = 1e-10) 
     The search bracket [0, 10 var(y) + 10 max(s_i^2)] contains the maximizer
     for any data on these scales; any larger tau2 would imply between-study
     spread exceeding the total observed spread by an order of magnitude.
+
+    l_R is scanned at 0 and at 15 geometrically spaced points from
+    1e-2 median(s_i^2) to the upper bound. The scan starts from the median,
+    not the smallest variance: below 1e-2 of most variances l_R is flat, and
+    where one s_i^2 is tiny (say 1e-300) the rounding of that study's
+    residual, about 1e-17, weighted by 1/(s_i^2 + tau2), swamps l_R at such
+    tau2, so scan points there would pick a wrong cell.
+
+    Newton's method on the score, with the observed information as
+    curvature, then refines inside the scan cells next to the best point. As
+    in Numerical Recipes' rtsafe, a bisection step replaces any Newton step
+    that would leave the bracket or fail to halve the previous step, or whose
+    curvature is not finite and positive. The refinement stops once a step
+    is at most tol * (1 + tau2), and the refined root is returned if its l_R
+    is at least that of the best scan point. When the best scan point is 0
+    and the score there is not positive, the estimate is exactly 0.
     """
     _require_residual_df(ds, x.cols)
     y = ds.effects()
     v = ds.variances()
-    hi = 10.0 * float(np.var(y, ddof=1)) + 10.0 * float(np.max(v))
-    return minimize_scalar(lambda t: -reml_objective(t, ds, x), 0.0, hi, tol=tol)
+    xm = x.matrix
+    upper = 10.0 * float(np.var(y, ddof=1)) + 10.0 * float(np.max(v))
+    grid = np.concatenate(([0.0], np.geomspace(1e-2 * float(np.median(v)), upper, 15)))
+    values = [reml_objective(float(t), ds, x) for t in grid]
+    if not all(math.isfinite(f) for f in values):
+        raise NumericError("restricted likelihood is not finite on the tau^2 scan")
+    best = int(np.argmax(values))
+    t = float(grid[best])
+    _, score, info = _reml_newton_terms(t, xm, y, v)
+    if score > 0:
+        if best == len(grid) - 1:
+            return t
+        lo, hi = t, float(grid[best + 1])
+    elif best == 0:
+        return 0.0
+    else:
+        lo, hi = float(grid[best - 1]), t
+    step = hi - lo
+    for _ in range(100):
+        newton = t + score / info if info > 0 and math.isfinite(info) else math.nan
+        if lo < newton < hi and abs(newton - t) <= 0.5 * abs(step):
+            step = newton - t
+        else:
+            step = 0.5 * (lo + hi) - t
+        t += step
+        value, score, info = _reml_newton_terms(t, xm, y, v)
+        if score > 0:
+            lo = t
+        else:
+            hi = t
+        if abs(step) <= tol * (1.0 + t) or score == 0:
+            break
+    return t if value >= values[best] else float(grid[best])

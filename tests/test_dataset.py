@@ -387,6 +387,22 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError, match="unknown study id"):
             nsaid.drop_studies(["nope"])
 
+    def test_columns_built_once_and_read_only(self):
+        ds = make_dataset([("P", "A", 0.5, 0.2), ("A", "B", -0.1, 0.4)])
+        expected = {
+            "effects": [0.5, -0.1],
+            "std_errors": [0.2, 0.4],
+            "variances": [0.2**2, 0.4**2],
+            "weights": [1.0 / 0.2**2, 1.0 / 0.4**2],
+        }
+        for name, values in expected.items():
+            column = getattr(ds, name)()
+            assert column is getattr(ds, name)()
+            assert not column.flags.writeable
+            np.testing.assert_array_equal(column, values)
+        with pytest.raises(ValueError):
+            ds.effects()[0] = 1.0
+
     def test_labels_trimmed(self):
         obs = ContrastObservation("s1", " P ", " A ", 0.5, 0.2)
         assert (obs.treat_a, obs.treat_b) == ("P", "A")

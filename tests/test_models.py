@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nmacompare import (
     q_total,
     reml_objective,
 )
+from nmacompare.models import _reml_newton_terms
 
 from conftest import (
     make_dataset,
@@ -210,9 +212,54 @@ class TestRemlObjective:
             reml_objective(-0.1, two_study, build_design_matrix(two_study))
 
 
+class TestRemlNewtonTerms:
+    def test_score_and_information_match_finite_differences(self, smoke):
+        rng = np.random.default_rng(17)
+        cases = [smoke] + [random_network(rng, max_treatments=6, max_studies=25) for _ in range(5)]
+        for ds in cases:
+            x = build_design_matrix(ds)
+            for tau2 in (0.01, 0.1, 0.5):
+                value, score, info = _reml_newton_terms(tau2, x.matrix, ds.effects(), ds.variances())
+                h = 1e-4 * tau2
+                lo, mid, hi = (reml_objective(t, ds, x) for t in (tau2 - h, tau2, tau2 + h))
+                assert value == pytest.approx(mid, abs=1e-9)
+                assert score == pytest.approx((hi - lo) / (2 * h), rel=1e-5, abs=1e-6)
+                assert -info == pytest.approx((hi - 2 * mid + lo) / h**2, rel=1e-3, abs=1e-2)
+
+
 class TestTau2Reml:
     def test_duplicates_zero(self, duplicates):
-        assert estimate_tau2_reml(duplicates, build_design_matrix(duplicates)) <= 1e-6
+        assert estimate_tau2_reml(duplicates, build_design_matrix(duplicates)) == 0.0
+
+    def test_boundary_maximum_beats_interior_local_maximum(self):
+        """l_R has a local maximum near 1.107 that is lower than l_R(0)."""
+        pairs = [
+            (-5.032654102021164, 2.3948129723580247),
+            (-7.427502619065785, 2.9464769684776857),
+            (0.3295808500055253, 1.1011931906757797),
+            (-1.9863998410790096, 0.17041179850240423),
+            (-3.6019269281430457, 2.4010343887683026),
+            (-2.3850601573748067, 0.6877900818214421),
+        ]
+        ds = make_dataset([("T0", "T1", y, s) for y, s in pairs])
+        x = build_design_matrix(ds)
+        hi = 10.0 * float(np.var(ds.effects(), ddof=1)) + 10.0 * float(np.max(ds.variances()))
+        oracle = reml_grid_argmax(ds, x, hi)
+        assert oracle == 0.0
+        assert estimate_tau2_reml(ds, x) == oracle
+
+    @pytest.mark.parametrize("se", [1e-150, 1e-100, 1e-20, 1e-8])
+    def test_extreme_standard_error(self, se):
+        def tau2(study_se):
+            ds = make_dataset([
+                ("A", "B", 0.1, 0.2), ("A", "B", 0.5, study_se), ("B", "C", 0.3, 0.3),
+                ("A", "C", 0.9, 0.4), ("A", "C", 0.2, 0.25), ("A", "B", -0.4, 0.3),
+            ])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return estimate_tau2_reml(ds, build_design_matrix(ds))
+
+        assert tau2(se) == pytest.approx(tau2(1e-20), rel=1e-6)
 
     def test_two_study_matches_grid(self, two_study):
         x = build_design_matrix(two_study)
