@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -343,17 +342,13 @@ def batch_run(
 ) -> BatchResult:
     """Compare models for every dataset file; failures become error rows.
 
-    Rows are sorted by (dataset name, source path) so the output is identical
-    regardless of how many worker threads ran the evaluations.
+    Datasets are evaluated one after another and rows are sorted by (dataset
+    name, source path). ``jobs`` is accepted for compatibility and has no
+    effect on the result or on the work done.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    sources = list(sources)
-    if jobs > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda s: _batch_one(s, alpha, tau_method), sources))
-    else:
-        rows = [_batch_one(s, alpha, tau_method) for s in sources]
+    rows = [_batch_one(s, alpha, tau_method) for s in sources]
     rows.sort(key=lambda r: (r.name, r.source))
     return BatchResult(tuple(rows), _histogram(rows), alpha, tau_method)
 

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory", type=Path)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--tau-method", choices=("dl", "reml"), default="dl")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=_default_jobs(), help="accepted; has no effect")
     p.add_argument(
         "--out-dir", type=Path,
         help="write summary.csv and histogram.json here instead of stdout",

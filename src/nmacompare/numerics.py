@@ -1,19 +1,19 @@
 """Small numerical kernels: SPD solves, chi-square tails, quantiles, 1-D search.
 
-These wrap mature library routines (Cholesky factorization, regularized
-incomplete gamma, inverse normal CDF) behind the narrow surface the fitting
-and testing code needs, so every numerical contract is checked in one place.
+A Cholesky solve, the exact chi-square tail for integer df and the inverse
+normal CDF, built on numpy and the standard library behind the narrow surface
+the fitting and testing code needs, so every numerical contract is checked in
+one place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaincc, ndtri
 
 __all__ = [
     "NumericError",
@@ -43,32 +43,37 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> SpdSolveResult:
     ``b`` may be a single right-hand side (1-D) or several stacked as columns.
     log det(A) comes from the factor diagonal; the inverse is never formed.
 
-    Raises NumericError if A is not square, not symmetric within 1e-12
-    relative, or not positive definite (the latter signals a rank-deficient
-    network or degenerate variances upstream).
+    Raises NumericError if A is not square, has a NaN or infinite entry, is
+    not symmetric within 1e-12 relative, or is not positive definite (the
+    latter signals a rank-deficient network or degenerate variances upstream).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericError(f"matrix is not square: shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * max(scale, 1e-300):
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    # NaN or inf in any entry makes the scale non-finite; numpy's Cholesky
+    # would factor such a matrix without complaint
+    if not math.isfinite(scale):
+        raise NumericError("invalid matrix entries: NaN or infinite")
+    if float(np.abs(a - a.T).max()) > 1e-12 * max(scale, 1e-300):
         raise NumericError("matrix not symmetric")
     try:
-        factor = cho_factor(a, lower=True, check_finite=True)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NumericError("matrix not positive definite") from None
-    except ValueError as exc:
-        raise NumericError(f"invalid matrix entries: {exc}") from None
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    solution = cho_solve(factor, b, check_finite=False)
+    log_det = 2.0 * float(np.log(lower.diagonal()).sum())
+    solution = np.linalg.solve(lower.T, np.linalg.solve(lower, b))
     return SpdSolveResult(solution, log_det)
 
 
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability P(X > x) for X ~ chi-square with ``df`` degrees.
 
-    Computed as the regularized upper incomplete gamma Q(df/2, x/2).
+    The exact finite sum for integer df (Abramowitz & Stegun 26.4.4-5), with
+    h = x/2: e^-h sum_{k<df/2} h^k / k! for even df, and for odd df
+    erfc(sqrt(h)) + e^-h sum_{k=1}^{(df-1)/2} h^(k-1/2) / Gamma(k+1/2).
+    Every term is positive, so nothing cancels; each is formed in log space.
     """
     if df == 0:
         raise NumericError("zero degrees of freedom")
@@ -76,14 +81,25 @@ def chi_square_sf(x: float, df: int) -> float:
         raise NumericError(f"degrees of freedom must be a positive integer, got {df!r}")
     if not (x >= 0):
         raise NumericError(f"chi-square statistic must be non-negative, got {x!r}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    half = x / 2.0
+    if half == 0.0:
+        return 1.0
+    if half == math.inf:
+        return 0.0
+    head = math.erfc(math.sqrt(half)) if df % 2 else 0.0
+    log_half = math.log(half)
+    exponents = (k + df % 2 / 2.0 for k in range(int(df) // 2))
+    return head + math.fsum(math.exp(a * log_half - math.lgamma(a + 1.0) - half) for a in exponents)
+
+
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF."""
     if not (0.0 < p < 1.0):
         raise NumericError(f"quantile requires 0 < p < 1, got {p!r}")
-    return float(ndtri(p))
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

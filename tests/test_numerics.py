@@ -56,6 +56,16 @@ class TestSolveSpd:
         with pytest.raises(NumericError, match="not symmetric"):
             solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
 
+    def test_nan_entry_rejected(self):
+        # numpy's Cholesky returns a NaN factor here instead of raising
+        with pytest.raises(NumericError, match="invalid matrix entries"):
+            solve_spd(np.array([[math.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+
+    def test_inf_entry_rejected(self):
+        # checked before the symmetry test, where inf - inf would warn
+        with pytest.raises(NumericError, match="invalid matrix entries"):
+            solve_spd(np.array([[1.0, math.inf], [math.inf, 1.0]]), np.ones(2))
+
 
 class TestChiSquareSf:
     def test_reference_values(self):
@@ -65,6 +75,10 @@ class TestChiSquareSf:
     def test_zero_statistic(self):
         for df in (1, 2, 7, 100):
             assert chi_square_sf(0.0, df) == 1.0
+
+    def test_infinite_statistic(self):
+        for df in (1, 2, 7, 100):
+            assert chi_square_sf(math.inf, df) == 0.0
 
     def test_df2_closed_form(self):
         for x in (0.1, 1.0, 5.0, 30.0, 200.0):
@@ -80,7 +94,8 @@ class TestChiSquareSf:
 
         Evaluated in log space, this closed form is an independent route to
         the same tail; agreement is required to 1e-12 absolute across the
-        supported range (x <= 1000, df <= 200).
+        supported range (x <= 1e4, df <= 5000, the df a 300-treatment,
+        5000-study network reaches).
         """
 
         def oracle(x: float, df: int) -> float:
@@ -91,9 +106,18 @@ class TestChiSquareSf:
             peak = max(terms)
             return math.exp(-half + peak) * math.fsum(math.exp(t - peak) for t in terms)
 
-        for df in (2, 4, 10, 24, 60, 120, 200):
-            for x in (0.0, 0.5, 3.7, 23.51, 82.25, 190.15, 400.0, 1000.0):
+        for df in (2, 4, 10, 24, 60, 120, 200, 1000, 4400, 5000):
+            for x in (0.0, 0.5, 3.7, 23.51, 82.25, 190.15, 400.0, 1000.0, 4400.0, 5000.0, 1e4):
                 assert abs(chi_square_sf(x, df) - oracle(x, df)) <= 1e-12
+
+    def test_odd_df_against_scipy(self):
+        gammaincc = pytest.importorskip("scipy.special").gammaincc
+        xs = [0.0, 1e-6, 0.3, 1.0, 3.84, 23.51, 82.25, 400.0, 998.0, 1500.0, 4999.0, 5300.0, 1e4]
+        for df in (1, 3, 5, 23, 101, 999, 4999):
+            for x in xs:
+                expected = float(gammaincc(df / 2.0, x / 2.0))
+                if expected >= 1e-300:
+                    assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_df1_against_erfc_oracle(self):
         # sf(x, 1) = P(|Z| > sqrt(x)) = erfc(sqrt(x/2))
@@ -137,6 +161,12 @@ class TestNormalQuantile:
         assert normal_quantile(0.841344746) == pytest.approx(1.0, abs=1e-6)
         for p in (0.01, 0.1, 0.25, 0.6, 0.841344746, 0.975, 0.999):
             assert normal_quantile(p) == pytest.approx(invert(p), abs=1e-9)
+
+    def test_against_scipy_ndtri(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        for p in np.linspace(0.001, 0.999, 999):
+            expected = float(ndtri(p))
+            assert normal_quantile(float(p)) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_antisymmetry(self):
         for p in (0.001, 0.05, 0.3, 0.49):
