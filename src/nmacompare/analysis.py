@@ -16,14 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .dataset import (
-    DatasetError,
-    DesignMatrix,
-    EffectMeasure,
-    NetworkDataset,
-    build_design_matrix,
-    load_dataset,
-)
+from .dataset import DatasetError, EffectMeasure, NetworkDataset, load_dataset
 from .heterogeneity import QDecomposition, ScreenResult, q_decompose
 from .models import (
     DEFAULT_CI_LEVEL,
@@ -118,18 +111,17 @@ class ComparisonReport:
 
 
 def fit_random_effects(
-    ds: NetworkDataset,
-    x: DesignMatrix,
-    fe: ModelFit,
-    tau_method: TauMethod,
-    ci_level: float,
+    ds: NetworkDataset, fe: ModelFit, tau_method: TauMethod, ci_level: float
 ) -> ModelFit:
-    """Random-effects fit at the tau^2 that ``tau_method`` estimates; ``fe`` is the FE fit."""
+    """Random-effects fit at the tau^2 that ``tau_method`` estimates.
+
+    ``fe`` is the FE fit of ``ds``; DL takes its covariance and residuals.
+    """
     if tau_method is TauMethod.DL:
-        tau2, kind = estimate_tau2_dl(ds, x, fe), ModelKind.RE_DL
+        tau2, kind = estimate_tau2_dl(ds, fe), ModelKind.RE_DL
     else:
-        tau2, kind = estimate_tau2_reml(ds, x), ModelKind.RE_REML
-    return fit_re(ds, x, tau2, kind=kind, ci_level=ci_level)
+        tau2, kind = estimate_tau2_reml(ds), ModelKind.RE_REML
+    return fit_re(ds, tau2, kind=kind, ci_level=ci_level)
 
 
 def compare_models(
@@ -138,12 +130,9 @@ def compare_models(
     ci_level: float = DEFAULT_CI_LEVEL,
 ) -> ComparisonReport:
     """Fit FE once, derive RE and ME from it, and compare RE vs ME by AIC."""
-    if not (0.0 < ci_level < 1.0):
-        raise ValueError(f"ci_level must be in (0, 1), got {ci_level!r}")
-    x = build_design_matrix(ds)
-    fe = fit_fe(ds, x, ci_level)
-    q = q_decompose(ds, x, fe)
-    re = fit_random_effects(ds, x, fe, tau_method, ci_level)
+    fe = fit_fe(ds, ci_level)
+    q = q_decompose(ds, fe)
+    re = fit_random_effects(ds, fe, tau_method, ci_level)
     me = fit_me(ds, fe)
     delta = me.aic - re.aic
     untestable = q.df_het == 0
@@ -338,13 +327,11 @@ def batch_run(
     sources: Sequence[str | Path],
     alpha: float = 0.05,
     tau_method: TauMethod = TauMethod.DL,
-    jobs: int = 1,
 ) -> BatchResult:
     """Compare models for every dataset file; failures become error rows.
 
     Datasets are evaluated one after another and rows are sorted by (dataset
-    name, source path). ``jobs`` is accepted for compatibility and has no
-    effect on the result or on the work done.
+    name, source path).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -25,13 +24,7 @@ from .analysis import (
     format_csv,
     leave_one_out,
 )
-from .dataset import (
-    DatasetError,
-    NetworkDataset,
-    build_design_matrix,
-    group_designs,
-    load_dataset,
-)
+from .dataset import DatasetError, NetworkDataset, group_designs, load_dataset
 from .heterogeneity import q_decompose
 from .models import fit_fe, fit_me
 from .report import fit_report, forest_data, network_data, per_study_csv, render_svg
@@ -39,13 +32,6 @@ from .report import fit_report, forest_data, network_data, per_study_csv, render
 _EXIT_OK = 0
 _EXIT_DATA_ERROR = 1
 _EXIT_USAGE = 2
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("NMA_SEED_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory", type=Path)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--tau-method", choices=("dl", "reml"), default="dl")
-    p.add_argument("--jobs", type=int, default=_default_jobs(), help="accepted; has no effect")
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.add_argument(
         "--out-dir", type=Path,
         help="write summary.csv and histogram.json here instead of stdout",
@@ -140,9 +126,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _emit_json(args: argparse.Namespace, doc: dict) -> None:
     if getattr(args, "pretty", False):
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
-        text = json.dumps(doc, separators=(",", ":")) + "\n"
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
     _emit(args, text)
 
 
@@ -179,23 +165,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     ds = _load(args)
-    x = build_design_matrix(ds)
-    fe = fit_fe(ds, x, args.ci_level)
-    q = q_decompose(ds, x, fe)
+    fe = fit_fe(ds, args.ci_level)
+    q = q_decompose(ds, fe)
     if args.model == "fe":
         fit = fe
     elif args.model == "me":
         fit = fit_me(ds, fe)
     else:
-        fit = fit_random_effects(ds, x, fe, TauMethod.parse(args.tau_method), args.ci_level)
+        fit = fit_random_effects(ds, fe, TauMethod.parse(args.tau_method), args.ci_level)
     _emit_json(args, fit_report(ds, [fit], q))
     return _EXIT_OK
 
 
 def _cmd_qdecomp(args: argparse.Namespace) -> int:
     ds = _load(args)
-    x = build_design_matrix(ds)
-    q = q_decompose(ds, x, fit_fe(ds, x))
+    q = q_decompose(ds, fit_fe(ds))
     doc = fit_report(ds, [], q)
     doc.pop("models")
     doc.pop("delta_aic")
@@ -251,11 +235,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         raise DatasetError(f"not a directory: {directory}")
     sources = sorted(p for p in directory.iterdir() if p.suffix.lower() == ".json")
-    result = batch_run(
-        sources, alpha=args.alpha, tau_method=TauMethod.parse(args.tau_method), jobs=args.jobs
-    )
+    result = batch_run(sources, alpha=args.alpha, tau_method=TauMethod.parse(args.tau_method))
     summary = batch_to_csv(result)
-    histogram = json.dumps(result.histogram, indent=2, sort_keys=True) + "\n"
+    histogram = json.dumps(result.histogram, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         (args.out_dir / "summary.csv").write_text(summary, encoding="utf-8")

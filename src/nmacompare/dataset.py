@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -141,6 +142,7 @@ class NetworkDataset:
     lexicographically smallest treatment when not supplied. The numeric
     columns are built once, at construction: ``effects()``, ``std_errors()``,
     ``variances()`` and ``weights()`` return the same read-only arrays.
+    ``design`` is the contrast-coding matrix, built on first use.
     """
 
     name: str
@@ -200,6 +202,11 @@ class NetworkDataset:
     def weights(self) -> np.ndarray:
         """Inverse-variance weights 1/se^2."""
         return self._weights
+
+    @functools.cached_property
+    def design(self) -> DesignMatrix:
+        """Design matrix of E(y) = X d, shared by every model fit of this dataset."""
+        return build_design_matrix(self)
 
     def study_index(self, study_id: str) -> int:
         for i, obs in enumerate(self.studies):
@@ -264,18 +271,8 @@ class DesignMatrix:
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.matrix.shape[1]
-
-    def column(self, treatment: str) -> int:
-        try:
-            return self.column_treatments.index(treatment)
-        except ValueError:
-            raise DatasetError(f"treatment {treatment!r} has no design column") from None
 
 
 def build_design_matrix(ds: NetworkDataset) -> DesignMatrix:
@@ -316,8 +313,11 @@ def derive_contrast_binary(
     if correction < 0:
         raise DatasetError("negative zero-cell correction")
 
-    a_e, a_n = float(events_a), float(total_a - events_a)
-    b_e, b_n = float(events_b), float(total_b - events_b)
+    try:
+        a_e, a_n = float(events_a), float(total_a - events_a)
+        b_e, b_n = float(events_b), float(total_b - events_b)
+    except OverflowError:
+        raise DatasetError("counts too large for floating-point arithmetic") from None
     if 0.0 in (a_e, a_n, b_e, b_n):
         a_e += correction
         a_n += correction
@@ -327,7 +327,10 @@ def derive_contrast_binary(
     if measure is EffectMeasure.LOG_OR:
         if min(a_e, a_n, b_e, b_n) <= 0:
             raise DatasetError("degenerate 2x2 table")
-        effect = math.log(b_e * a_n / (a_e * b_n))
+        odds_ratio = b_e * a_n / (a_e * b_n)
+        if not 0.0 < odds_ratio < math.inf:
+            raise DatasetError("counts too large for floating-point arithmetic")
+        effect = math.log(odds_ratio)
         se = math.sqrt(1 / a_e + 1 / a_n + 1 / b_e + 1 / b_n)
     elif measure is EffectMeasure.LOG_RR:
         na, nb = a_e + a_n, b_e + b_n
@@ -446,7 +449,11 @@ def _parse_csv(
     name: str | None,
     correction: float,
 ) -> NetworkDataset:
-    rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise DatasetError(f"CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise DatasetError("empty CSV input")
     header = tuple(cell.strip().lower() for cell in rows[0])
@@ -529,17 +536,24 @@ def _parse_json(
 ) -> NetworkDataset:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides syntax errors: integer literals past the int-string digit
+        # limit (ValueError) and nesting deeper than the recursion limit
         raise DatasetError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DatasetError("JSON dataset must be an object")
+    for key in ("name", "reference"):
+        if type(doc.get(key, "")) not in (str, int, float):
+            raise DatasetError(f"field {key!r} must be a string or a number")
+    if type(doc.get("measure", "")) is not str:
+        raise DatasetError("field 'measure' must be a string")
     raw_studies = doc.get("studies")
     if not isinstance(raw_studies, list) or not raw_studies:
         raise DatasetError("JSON dataset needs a non-empty 'studies' array")
     if measure is None:
         if "measure" not in doc:
             raise DatasetError("JSON dataset missing 'measure'")
-        measure = EffectMeasure.parse(str(doc["measure"]))
+        measure = EffectMeasure.parse(doc["measure"])
     studies = []
     for i, entry in enumerate(raw_studies, start=1):
         if not isinstance(entry, dict):
@@ -567,6 +581,11 @@ def _parse_json(
             )
         except DatasetError as exc:
             raise DatasetError(f"study {i}: {exc}") from None
+        except OverflowError:
+            # an integer literal beyond the float range
+            raise DatasetError(
+                f"study {i}: effect or se is too large for a floating-point number"
+            ) from None
     return NetworkDataset(
         name or str(doc.get("name") or "dataset"),
         measure,

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Design, DesignMatrix, NetworkDataset, group_designs
+from .dataset import Design, NetworkDataset, group_designs
 from .numerics import chi_square_sf
 
 if TYPE_CHECKING:
@@ -102,12 +102,12 @@ def q_total(ds: NetworkDataset, fe: ModelFit) -> float:
     return float(np.sum(r * r * ds.weights()))
 
 
-def q_decompose(ds: NetworkDataset, x: DesignMatrix, fe: ModelFit) -> QDecomposition:
+def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
     """Decompose Q_total into per-design and per-study heterogeneity plus inconsistency."""
     designs = group_designs(ds)
     w = ds.weights()
     m = ds.n_studies
-    n_effects = x.cols
+    n_effects = ds.design.cols
 
     per_design = []
     per_study_q = np.zeros(m)

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import DesignMatrix, NetworkDataset
+from .dataset import NetworkDataset
 from .heterogeneity import q_total
 from .numerics import NumericError, normal_quantile, solve_spd
 
@@ -163,9 +163,10 @@ def _wls(x: np.ndarray, y: np.ndarray, sigma2: np.ndarray):
     return d_hat, cov, fitted, y - fitted
 
 
-def fit_fe(ds: NetworkDataset, x: DesignMatrix, ci_level: float = DEFAULT_CI_LEVEL) -> ModelFit:
+def fit_fe(ds: NetworkDataset, ci_level: float = DEFAULT_CI_LEVEL) -> ModelFit:
     """Fixed-effect fit: weighted least squares with inverse-variance weights."""
     _check_ci_level(ci_level)
+    x = ds.design
     y = ds.effects()
     v = ds.variances()
     d_hat, cov, fitted, resid = _wls(x.matrix, y, v)
@@ -179,7 +180,6 @@ def fit_fe(ds: NetworkDataset, x: DesignMatrix, ci_level: float = DEFAULT_CI_LEV
 
 def fit_re(
     ds: NetworkDataset,
-    x: DesignMatrix,
     tau2: float,
     kind: ModelKind = ModelKind.RE_DL,
     ci_level: float = DEFAULT_CI_LEVEL,
@@ -190,6 +190,7 @@ def fit_re(
     if tau2 < 0:
         raise EstimationError("negative between-study variance")
     _check_ci_level(ci_level)
+    x = ds.design
     y = ds.effects()
     sigma2 = ds.variances() + tau2
     d_hat, cov, fitted, resid = _wls(x.matrix, y, sigma2)
@@ -232,7 +233,7 @@ def fit_me(ds: NetworkDataset, fe: ModelFit) -> ModelFit:
     )
 
 
-def estimate_tau2_dl(ds: NetworkDataset, x: DesignMatrix, fe: ModelFit) -> float:
+def estimate_tau2_dl(ds: NetworkDataset, fe: ModelFit) -> float:
     """Method-of-moments (DerSimonian-Laird type) between-study variance.
 
     tau2_hat = max(0, (Q_total - (m - (n-1))) / (tr W - tr(W X (X'WX)^-1 X'W)))
@@ -240,9 +241,10 @@ def estimate_tau2_dl(ds: NetworkDataset, x: DesignMatrix, fe: ModelFit) -> float
     estimator is unbiased before truncation and reduces to the classical
     DerSimonian-Laird estimator for a single pairwise comparison. The trace
     term is sum_i w_i^2 x_i' Cov_FE x_i, with Cov_FE = (X'WX)^-1 taken from
-    ``fe``, the FE fit of the same dataset and design.
+    ``fe``, the FE fit of the same dataset.
     """
     _require_fe(fe)
+    x = ds.design
     df = _require_residual_df(ds, x.cols)
     w = ds.weights()
     fitted_var = np.sum((x.matrix @ fe.cov) * x.matrix, axis=1)
@@ -252,7 +254,7 @@ def estimate_tau2_dl(ds: NetworkDataset, x: DesignMatrix, fe: ModelFit) -> float
     return max(0.0, (q_total(ds, fe) - df) / denom)
 
 
-def reml_objective(tau2: float, ds: NetworkDataset, x: DesignMatrix) -> float:
+def reml_objective(tau2: float, ds: NetworkDataset) -> float:
     """Restricted log-likelihood of tau^2 (up to an additive constant).
 
     l_R(tau2) = -1/2 [ log det(Sigma) + log det(X' Sigma^-1 X) + r' Sigma^-1 r ]
@@ -262,6 +264,7 @@ def reml_objective(tau2: float, ds: NetworkDataset, x: DesignMatrix) -> float:
     """
     if tau2 < 0:
         raise EstimationError("negative between-study variance")
+    x = ds.design
     y = ds.effects()
     sigma2 = ds.variances() + tau2
     xw = x.matrix * (1.0 / sigma2)[:, None]
@@ -305,7 +308,7 @@ def _reml_newton_terms(tau2: float, xm: np.ndarray, y: np.ndarray, v: np.ndarray
     return value, score, info
 
 
-def estimate_tau2_reml(ds: NetworkDataset, x: DesignMatrix, tol: float = 1e-10) -> float:
+def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
     """REML between-study variance: maximizes the restricted likelihood.
 
     The search bracket [0, 10 var(y) + 10 max(s_i^2)] contains the maximizer
@@ -328,13 +331,13 @@ def estimate_tau2_reml(ds: NetworkDataset, x: DesignMatrix, tol: float = 1e-10) 
     is at least that of the best scan point. When the best scan point is 0
     and the score there is not positive, the estimate is exactly 0.
     """
-    _require_residual_df(ds, x.cols)
+    _require_residual_df(ds, ds.design.cols)
     y = ds.effects()
     v = ds.variances()
-    xm = x.matrix
+    xm = ds.design.matrix
     upper = 10.0 * float(np.var(y, ddof=1)) + 10.0 * float(np.max(v))
     grid = np.concatenate(([0.0], np.geomspace(1e-2 * float(np.median(v)), upper, 15)))
-    values = [reml_objective(float(t), ds, x) for t in grid]
+    values = [reml_objective(float(t), ds) for t in grid]
     if not all(math.isfinite(f) for f in values):
         raise NumericError("restricted likelihood is not finite on the tau^2 scan")
     best = int(np.argmax(values))

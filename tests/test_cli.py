@@ -13,7 +13,7 @@ import pytest
 
 from nmacompare.cli import main
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, ESCAPING_INPUTS
 
 NSAID_CSV = str(CORPUS_DIR / "nsaid_pain_relief.csv")
 NSAID_JSON = str(CORPUS_DIR / "nsaid_pain_relief.json")
@@ -41,6 +41,31 @@ def test_cli_import_needs_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_non_finite_results_are_not_written_as_json(tmp_path):
+    """Effects of +-1e200 overflow Q; the commands fail instead of printing NaN or Infinity.
+
+    Each command runs in a fresh interpreter, where numpy's overflow warnings
+    stay warnings, as they are for a user of the CLI.
+    """
+    rows = [("s1", "A", "B", 1e200), ("s2", "A", "B", -1e200),
+            ("s3", "B", "C", 0.5), ("s4", "B", "C", 0.7)]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"measure": "MD", "studies": [
+        {"study_id": s, "treat_a": a, "treat_b": b, "effect": y, "se": 1} for s, a, b, y in rows
+    ]}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    for argv in (["qdecomp"], ["fit", "--model", "me"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "nmacompare.cli", *argv, str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1, argv
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("error: ")
 
 
 class TestValidate:
@@ -74,6 +99,17 @@ class TestValidate:
         code, _, err = run(capsys, "validate", NSAID_CSV)
         assert code == 1
         assert "measure required" in err
+
+    @pytest.mark.parametrize("case", sorted(ESCAPING_INPUTS))
+    def test_parser_escape_exits_1_with_one_line(self, capsys, tmp_path, case):
+        suffix, text, message = ESCAPING_INPUTS[case]
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(text)
+        measure = ["--measure", "logOR"] if suffix == ".csv" else []
+        code, out, err = run(capsys, "validate", str(path), *measure)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "validate", NSAID_JSON, "--frobnicate")
@@ -263,12 +299,6 @@ class TestBatch:
         assert (serial / "histogram.json").read_bytes() == (parallel / "histogram.json").read_bytes()
         histogram = json.loads((serial / "histogram.json").read_text())
         assert set(histogram) == {"logOR", "logRR"}
-
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("NMA_SEED_JOBS", "4")
-        code, out, _ = run(capsys, "batch", str(CORPUS_DIR))
-        assert code == 0
-        assert len(out.strip().splitlines()) == 4
 
     def test_not_a_directory(self, capsys):
         code, _, err = run(capsys, "batch", NSAID_JSON)

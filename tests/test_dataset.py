@@ -9,6 +9,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmacompare import (
     ContrastObservation,
@@ -22,7 +24,7 @@ from nmacompare import (
     parse_dataset,
 )
 
-from conftest import make_dataset, random_network
+from conftest import ESCAPING_INPUTS, make_dataset, random_network
 
 
 class TestParseContrastCsv:
@@ -166,6 +168,79 @@ class TestParseJson:
         ds = parse_dataset(json.dumps({"measure": "MD", "studies": [study]}), "json")
         assert (ds.studies[0].study_id, ds.treatments) == ("7", ("1", "2.5"))
 
+    @pytest.mark.parametrize("key", ["name", "reference", "measure"])
+    @pytest.mark.parametrize("value", [[], {"a": 1}, None, True])
+    def test_non_scalar_dataset_field_rejected(self, key, value):
+        study = {"study_id": "s1", "treat_a": "P", "treat_b": "A", "effect": 0.5, "se": 0.2}
+        doc = {"name": "x", "measure": "MD", "reference": "P", "studies": [study], key: value}
+        with pytest.raises(DatasetError, match=f"field '{key}' must be a string"):
+            parse_dataset(json.dumps(doc), "json")
+
+    def test_number_dataset_fields(self):
+        study = {"study_id": "s1", "treat_a": 1, "treat_b": 2, "effect": 0.5, "se": 0.2}
+        ds = parse_dataset(json.dumps({"name": 3, "reference": 2, "measure": "MD",
+                                       "studies": [study]}), "json")
+        assert (ds.name, ds.reference) == ("3", "2")
+        with pytest.raises(DatasetError, match="field 'measure' must be a string$"):
+            parse_dataset(json.dumps({"measure": 1, "studies": [study]}), "json")
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPING_INPUTS))
+def test_parser_escapes_become_dataset_errors(case):
+    suffix, text, message = ESCAPING_INPUTS[case]
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(text, suffix[1:], measure="logOR" if suffix == ".csv" else None)
+    assert message in str(info.value)
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_STUDY_ENTRIES = st.dictionaries(
+    st.sampled_from(["study_id", "treat_a", "treat_b", "effect", "se"]),
+    _SCALARS | st.sampled_from(["P", "A", "B"]) | st.floats(0.01, 3.0),
+)
+_JSON_DATASETS = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": _JSON_VALUES,
+        "measure": st.sampled_from(["MD", "logOR"]) | _JSON_VALUES,
+        "reference": st.sampled_from(["P", "A"]) | _JSON_VALUES,
+        "studies": st.lists(_STUDY_ENTRIES, max_size=5) | _JSON_VALUES,
+    },
+)
+_CSV_CELLS = st.text(max_size=5) | st.sampled_from(
+    ["P", "A", "s1", "0", "2", "0.5", "1e400", "nan"]
+)
+_CSV_TEXTS = st.builds(
+    lambda header, rows: "\n".join([header] + [",".join(row) for row in rows]),
+    st.sampled_from([
+        "study_id,treat_a,treat_b,effect,se",
+        "study_id,treatment,events,total",
+        "study_id,treatment,mean,se",
+    ]),
+    st.lists(st.lists(_CSV_CELLS, max_size=6), max_size=5),
+)
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(
+    st.tuples(st.binary(max_size=200), st.sampled_from(["csv", "json"]))
+    | st.tuples((_JSON_VALUES | _JSON_DATASETS).map(json.dumps), st.just("json"))
+    | st.tuples(_CSV_TEXTS, st.just("csv"))
+)
+def test_parse_raises_only_dataset_error(case):
+    """Arbitrary bytes, JSON documents and CSV rows either parse or raise DatasetError."""
+    source, fmt = case
+    try:
+        parse_dataset(source, fmt, measure="logOR" if fmt == "csv" else None)
+    except DatasetError:
+        pass
+
 
 class TestArmLevelCsv:
     def test_binary(self):
@@ -225,6 +300,11 @@ class TestDeriveBinary:
     def test_md_rejected(self):
         with pytest.raises(DatasetError, match="logOR or logRR"):
             derive_contrast_binary(1, 10, 2, 10, EffectMeasure.MD)
+
+    def test_odds_ratio_outside_float_range(self):
+        # 1e200 * 1e200 overflows to inf, so the odds ratio is 0 and has no log
+        with pytest.raises(DatasetError, match="counts too large"):
+            derive_contrast_binary(10**200, 2 * 10**200, 1, 10**200 + 1, EffectMeasure.LOG_OR)
 
     def test_bad_counts(self):
         with pytest.raises(DatasetError):
@@ -308,6 +388,14 @@ class TestDesignMatrix:
         x = build_design_matrix(nsaid)
         with pytest.raises(ValueError):
             x.matrix[0, 0] = 5.0
+
+    def test_dataset_design_built_once(self, nsaid):
+        assert nsaid.design is nsaid.design
+        np.testing.assert_array_equal(nsaid.design.matrix, build_design_matrix(nsaid).matrix)
+        dropped = nsaid.drop_studies([nsaid.studies[0].study_id])
+        assert dropped.design is not nsaid.design
+        assert dropped.design.matrix.shape == (28, 6)
+        np.testing.assert_array_equal(dropped.design.matrix, nsaid.design.matrix[1:])
 
 
 class TestConnectivityOracle:

@@ -8,7 +8,6 @@ import pytest
 from nmacompare import (
     NetworkDataset,
     ScreenResult,
-    build_design_matrix,
     fit_fe,
     q_decompose,
     q_total,
@@ -28,13 +27,11 @@ from conftest import (
 class TestQTotal:
     def test_zero_for_duplicates(self):
         ds = single_pair([1.0, 1.0], [1.0, 1.0])
-        x = build_design_matrix(ds)
-        assert q_total(ds, fit_fe(ds, x)) == pytest.approx(0.0, abs=1e-14)
+        assert q_total(ds, fit_fe(ds)) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_study_hand_value(self):
         ds = single_pair([0.0, 2.0], [1.0, 1.0])
-        x = build_design_matrix(ds)
-        assert q_total(ds, fit_fe(ds, x)) == pytest.approx(2.0, abs=1e-12)
+        assert q_total(ds, fit_fe(ds)) == pytest.approx(2.0, abs=1e-12)
 
     def test_nsaid_star(self, nsaid):
         _, _, q = decompose(nsaid)
@@ -182,20 +179,16 @@ class TestBruteForceOracle:
 
 class TestScreen:
     def test_nsaid_is_heterogeneous(self, nsaid):
-        x = build_design_matrix(nsaid)
-        assert q_decompose(nsaid, x, fit_fe(nsaid, x)).screen(0.05) is ScreenResult.HETEROGENEOUS
+        assert q_decompose(nsaid, fit_fe(nsaid)).screen(0.05) is ScreenResult.HETEROGENEOUS
 
     def test_one_study_per_design_untestable(self):
         ds = make_dataset([("P", "A", 0.5, 0.2), ("P", "B", 0.1, 0.2), ("A", "B", 0.0, 0.3)])
-        x = build_design_matrix(ds)
-        assert q_decompose(ds, x, fit_fe(ds, x)).screen(0.05) is ScreenResult.UNTESTABLE
+        assert q_decompose(ds, fit_fe(ds)).screen(0.05) is ScreenResult.UNTESTABLE
 
     def test_duplicates_homogeneous(self):
         ds = single_pair([1.0, 1.0], [1.0, 1.0])
-        x = build_design_matrix(ds)
-        assert q_decompose(ds, x, fit_fe(ds, x)).screen(0.05) is ScreenResult.HOMOGENEOUS
+        assert q_decompose(ds, fit_fe(ds)).screen(0.05) is ScreenResult.HOMOGENEOUS
 
     def test_bad_alpha(self, nsaid):
-        x = build_design_matrix(nsaid)
         with pytest.raises(ValueError):
-            q_decompose(nsaid, x, fit_fe(nsaid, x)).screen(1.5)
+            q_decompose(nsaid, fit_fe(nsaid)).screen(1.5)

@@ -12,7 +12,6 @@ from nmacompare import (
     EstimationError,
     ModelKind,
     NetworkDataset,
-    build_design_matrix,
     estimate_tau2_dl,
     estimate_tau2_reml,
     fit_fe,
@@ -48,19 +47,19 @@ def duplicates():
 class TestFitFe:
     def test_single_study(self):
         ds = make_dataset([("P", "A", 0.5, 0.2)], reference="P")
-        fe = fit_fe(ds, build_design_matrix(ds))
+        fe = fit_fe(ds)
         assert fe.d_hat[0] == pytest.approx(0.5, abs=1e-14)
         assert fe.cov[0, 0] == pytest.approx(0.04, abs=1e-14)
 
     def test_equal_weight_mean(self, two_study):
-        fe = fit_fe(two_study, build_design_matrix(two_study))
+        fe = fit_fe(two_study)
         assert fe.d_hat[0] == pytest.approx(1.0, abs=1e-14)
         assert fe.cov[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_star_network_decouples_by_design(self, nsaid):
         """On a star, each FE coordinate is that design's inverse-variance mean."""
-        x = build_design_matrix(nsaid)
-        fe = fit_fe(nsaid, x)
+        x = nsaid.design
+        fe = fit_fe(nsaid)
         for j, treat in enumerate(x.column_treatments):
             num = den = 0.0
             for obs in nsaid.studies:
@@ -70,12 +69,12 @@ class TestFitFe:
             assert fe.d_hat[j] == pytest.approx(num / den, rel=1e-12)
 
     def test_fitted_and_residuals(self, two_study):
-        fe = fit_fe(two_study, build_design_matrix(two_study))
+        fe = fit_fe(two_study)
         assert np.allclose(fe.fitted, [1.0, 1.0])
         assert np.allclose(fe.residuals, [-1.0, 1.0])
 
     def test_aic_uses_k_equal_effect_count(self, two_study):
-        fe = fit_fe(two_study, build_design_matrix(two_study))
+        fe = fit_fe(two_study)
         assert fe.aic == pytest.approx(2 * 1 - 2 * fe.log_lik, abs=1e-12)
         assert fe.n_params == 1
 
@@ -100,10 +99,9 @@ class TestLogLikelihood:
         rng = np.random.default_rng(21)
         for _ in range(10):
             ds = random_network(rng, max_treatments=5, max_studies=20)
-            x = build_design_matrix(ds)
-            fe = fit_fe(ds, x)
-            tau2 = estimate_tau2_dl(ds, x, fe)
-            re = fit_re(ds, x, tau2)
+            fe = fit_fe(ds)
+            tau2 = estimate_tau2_dl(ds, fe)
+            re = fit_re(ds, tau2)
             me = fit_me(ds, fe)
             v = ds.variances()
             sig = v + tau2
@@ -119,27 +117,23 @@ class TestLogLikelihood:
 
 class TestTau2Dl:
     def test_clamped_at_zero(self, duplicates):
-        x = build_design_matrix(duplicates)
-        assert estimate_tau2_dl(duplicates, x, fit_fe(duplicates, x)) == 0.0
+        assert estimate_tau2_dl(duplicates, fit_fe(duplicates)) == 0.0
 
     def test_two_study_hand_value(self, two_study):
         # Q = 2, df = 1, denominator = tr(W) - tr(hat) = 2 - 1 = 1
-        x = build_design_matrix(two_study)
-        assert estimate_tau2_dl(two_study, x, fit_fe(two_study, x)) == pytest.approx(
+        assert estimate_tau2_dl(two_study, fit_fe(two_study)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_biologics_positive(self, biologics):
-        x = build_design_matrix(biologics)
-        fe = fit_fe(biologics, x)
+        fe = fit_fe(biologics)
         assert q_total(biologics, fe) == pytest.approx(190.15, abs=2.0)
-        assert estimate_tau2_dl(biologics, x, fe) > 0.0
+        assert estimate_tau2_dl(biologics, fe) > 0.0
 
     def test_requires_residual_df(self):
         ds = make_dataset([("P", "A", 0.5, 0.2)])
-        x = build_design_matrix(ds)
         with pytest.raises(EstimationError, match="no residual degrees of freedom"):
-            estimate_tau2_dl(ds, x, fit_fe(ds, x))
+            estimate_tau2_dl(ds, fit_fe(ds))
 
     def test_reduces_to_classical_dl_single_pair(self):
         """For one pairwise comparison the denominator is the classical C."""
@@ -149,20 +143,19 @@ class TestTau2Dl:
             ys = rng.normal(0.0, 1.5, size=k)
             ses = rng.uniform(0.3, 1.2, size=k)
             ds = single_pair(ys.tolist(), ses.tolist())
-            x = build_design_matrix(ds)
             w = 1.0 / ses**2
             pooled = float(np.sum(w * ys) / np.sum(w))
             q = float(np.sum(w * (ys - pooled) ** 2))
             c = float(np.sum(w) - np.sum(w**2) / np.sum(w))
             expected = max(0.0, (q - (k - 1)) / c)
-            assert estimate_tau2_dl(ds, x, fit_fe(ds, x)) == pytest.approx(expected, rel=1e-10)
+            assert estimate_tau2_dl(ds, fit_fe(ds)) == pytest.approx(expected, rel=1e-10)
 
     def test_matches_explicit_trace_formula(self):
         """Oracle: evaluate the moment formula with explicit matrix products."""
         rng = np.random.default_rng(9)
         for _ in range(10):
             ds = random_network(rng, max_treatments=6, max_studies=25)
-            x = build_design_matrix(ds)
+            x = ds.design
             mat = x.matrix
             w = np.diag(ds.weights())
             y = ds.effects()
@@ -172,44 +165,41 @@ class TestTau2Dl:
             q = float(resid @ w @ resid)
             denom = float(np.trace(w) - np.trace(w @ mat @ gram_inv @ mat.T @ w))
             expected = max(0.0, (q - (ds.n_studies - x.cols)) / denom)
-            assert estimate_tau2_dl(ds, x, fit_fe(ds, x)) == pytest.approx(
+            assert estimate_tau2_dl(ds, fit_fe(ds)) == pytest.approx(
                 expected, rel=1e-9, abs=1e-12
             )
 
 
 class TestRemlObjective:
     def test_at_zero_quadratic_equals_q_total(self, two_study):
-        x = build_design_matrix(two_study)
-        fe = fit_fe(two_study, x)
+        x = two_study.design
+        fe = fit_fe(two_study)
         q = q_total(two_study, fe)
         v = two_study.variances()
         # remove the two log-det terms to isolate the quadratic form
         gram = x.matrix.T @ (x.matrix / v[:, None])
-        base = reml_objective(0.0, two_study, x)
+        base = reml_objective(0.0, two_study)
         quad = -2.0 * base - float(np.sum(np.log(v))) - math.log(float(gram[0, 0]))
         assert quad == pytest.approx(q, abs=1e-12)
 
     def test_two_study_grid_argmax(self, two_study):
-        x = build_design_matrix(two_study)
-        best = reml_grid_argmax(two_study, x, hi=100.0)
+        best = reml_grid_argmax(two_study, hi=100.0)
         assert best == pytest.approx(1.0, abs=1e-4)
 
     def test_duplicates_maximized_at_zero(self, duplicates):
-        x = build_design_matrix(duplicates)
         grid = np.linspace(0.0, 5.0, 2001)
-        values = reml_restricted_loglik_grid(duplicates, x, grid)
+        values = reml_restricted_loglik_grid(duplicates, grid)
         assert int(np.argmax(values)) == 0
 
     def test_matches_oracle_pointwise(self, smoke):
-        x = build_design_matrix(smoke)
         grid = np.array([0.0, 0.05, 0.2, 0.7, 2.0])
-        oracle = reml_restricted_loglik_grid(smoke, x, grid)
+        oracle = reml_restricted_loglik_grid(smoke, grid)
         for t, expected in zip(grid, oracle):
-            assert reml_objective(float(t), smoke, x) == pytest.approx(expected, abs=1e-9)
+            assert reml_objective(float(t), smoke) == pytest.approx(expected, abs=1e-9)
 
     def test_negative_tau2_rejected(self, two_study):
         with pytest.raises(EstimationError):
-            reml_objective(-0.1, two_study, build_design_matrix(two_study))
+            reml_objective(-0.1, two_study)
 
 
 class TestRemlNewtonTerms:
@@ -217,11 +207,11 @@ class TestRemlNewtonTerms:
         rng = np.random.default_rng(17)
         cases = [smoke] + [random_network(rng, max_treatments=6, max_studies=25) for _ in range(5)]
         for ds in cases:
-            x = build_design_matrix(ds)
+            x = ds.design
             for tau2 in (0.01, 0.1, 0.5):
                 value, score, info = _reml_newton_terms(tau2, x.matrix, ds.effects(), ds.variances())
                 h = 1e-4 * tau2
-                lo, mid, hi = (reml_objective(t, ds, x) for t in (tau2 - h, tau2, tau2 + h))
+                lo, mid, hi = (reml_objective(t, ds) for t in (tau2 - h, tau2, tau2 + h))
                 assert value == pytest.approx(mid, abs=1e-9)
                 assert score == pytest.approx((hi - lo) / (2 * h), rel=1e-5, abs=1e-6)
                 assert -info == pytest.approx((hi - 2 * mid + lo) / h**2, rel=1e-3, abs=1e-2)
@@ -229,7 +219,7 @@ class TestRemlNewtonTerms:
 
 class TestTau2Reml:
     def test_duplicates_zero(self, duplicates):
-        assert estimate_tau2_reml(duplicates, build_design_matrix(duplicates)) == 0.0
+        assert estimate_tau2_reml(duplicates) == 0.0
 
     def test_boundary_maximum_beats_interior_local_maximum(self):
         """l_R has a local maximum near 1.107 that is lower than l_R(0)."""
@@ -242,11 +232,10 @@ class TestTau2Reml:
             (-2.3850601573748067, 0.6877900818214421),
         ]
         ds = make_dataset([("T0", "T1", y, s) for y, s in pairs])
-        x = build_design_matrix(ds)
         hi = 10.0 * float(np.var(ds.effects(), ddof=1)) + 10.0 * float(np.max(ds.variances()))
-        oracle = reml_grid_argmax(ds, x, hi)
+        oracle = reml_grid_argmax(ds, hi)
         assert oracle == 0.0
-        assert estimate_tau2_reml(ds, x) == oracle
+        assert estimate_tau2_reml(ds) == oracle
 
     @pytest.mark.parametrize("se", [1e-150, 1e-100, 1e-20, 1e-8])
     def test_extreme_standard_error(self, se):
@@ -257,61 +246,54 @@ class TestTau2Reml:
             ])
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                return estimate_tau2_reml(ds, build_design_matrix(ds))
+                return estimate_tau2_reml(ds)
 
         assert tau2(se) == pytest.approx(tau2(1e-20), rel=1e-6)
 
     def test_two_study_matches_grid(self, two_study):
-        x = build_design_matrix(two_study)
-        est = estimate_tau2_reml(two_study, x)
-        assert est == pytest.approx(reml_grid_argmax(two_study, x, hi=100.0), abs=1e-4)
+        est = estimate_tau2_reml(two_study)
+        assert est == pytest.approx(reml_grid_argmax(two_study, hi=100.0), abs=1e-4)
 
     def test_smoke_matches_grid(self, smoke):
-        x = build_design_matrix(smoke)
         hi = 10.0 * float(np.var(smoke.effects(), ddof=1)) + 10.0 * float(
             np.max(smoke.variances())
         )
-        est = estimate_tau2_reml(smoke, x)
-        assert est == pytest.approx(reml_grid_argmax(smoke, x, hi=hi), abs=1e-4)
+        est = estimate_tau2_reml(smoke)
+        assert est == pytest.approx(reml_grid_argmax(smoke, hi=hi), abs=1e-4)
 
     def test_stationarity(self, smoke):
-        x = build_design_matrix(smoke)
-        est = estimate_tau2_reml(smoke, x)
+        est = estimate_tau2_reml(smoke)
         h = 1e-5 * (1.0 + est)
         assert est > h  # interior optimum for this dataset
-        grad = (reml_objective(est + h, smoke, x) - reml_objective(est - h, smoke, x)) / (2 * h)
+        grad = (reml_objective(est + h, smoke) - reml_objective(est - h, smoke)) / (2 * h)
         assert abs(grad) <= 1e-4
 
 
 class TestPhiAndMe:
     def test_phi_clamped(self, duplicates):
-        x = build_design_matrix(duplicates)
-        assert fit_me(duplicates, fit_fe(duplicates, x)).phi == 1.0
+        assert fit_me(duplicates, fit_fe(duplicates)).phi == 1.0
 
     def test_phi_nsaid(self, nsaid):
-        x = build_design_matrix(nsaid)
-        fe = fit_fe(nsaid, x)
+        fe = fit_fe(nsaid)
         q = q_total(nsaid, fe)
         phi = fit_me(nsaid, fe).phi
         assert phi == pytest.approx(q / 23.0, rel=1e-12)
         assert phi == pytest.approx(82.25 / 23.0, abs=0.05)
 
     def test_phi_biologics(self, biologics):
-        x = build_design_matrix(biologics)
-        assert fit_me(biologics, fit_fe(biologics, x)).phi == pytest.approx(
+        assert fit_me(biologics, fit_fe(biologics)).phi == pytest.approx(
             190.15 / 24.0, abs=0.1
         )
 
     def test_needs_fe_fit(self, two_study):
-        x = build_design_matrix(two_study)
-        re = fit_re(two_study, x, 0.5)
+        re = fit_re(two_study, 0.5)
         with pytest.raises(EstimationError, match="expected a fixed-effect fit"):
             fit_me(two_study, re)
         with pytest.raises(EstimationError, match="expected a fixed-effect fit"):
-            estimate_tau2_dl(two_study, x, re)
+            estimate_tau2_dl(two_study, re)
 
     def test_me_hand_example(self, two_study):
-        me = fit_me(two_study, fit_fe(two_study, build_design_matrix(two_study)))
+        me = fit_me(two_study, fit_fe(two_study))
         assert me.d_hat[0] == pytest.approx(1.0, abs=1e-14)
         assert me.phi == pytest.approx(2.0, abs=1e-12)
         assert me.cov[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -320,21 +302,19 @@ class TestPhiAndMe:
         assert hi == pytest.approx(1.0 + 1.959964, abs=1e-5)
 
     def test_me_point_estimates_bitwise_fe(self, nsaid):
-        x = build_design_matrix(nsaid)
-        fe = fit_fe(nsaid, x)
+        fe = fit_fe(nsaid)
         me = fit_me(nsaid, fe)
         assert np.all(me.d_hat == fe.d_hat)
         assert np.all(me.fitted == fe.fitted)
 
     def test_me_cov_scaling_exact(self, smoke):
-        x = build_design_matrix(smoke)
-        fe = fit_fe(smoke, x)
+        fe = fit_fe(smoke)
         me = fit_me(smoke, fe)
         assert np.array_equal(me.cov, me.phi * fe.cov)
 
     def test_ci_halfwidth_ratio_sqrt_phi(self, nsaid):
-        x = build_design_matrix(nsaid)
-        fe = fit_fe(nsaid, x)
+        x = nsaid.design
+        fe = fit_fe(nsaid)
         me = fit_me(nsaid, fe)
         for treat in x.column_treatments:
             lo_f, hi_f = fe.ci(treat)
@@ -346,39 +326,37 @@ class TestPhiAndMe:
 
 class TestFitRe:
     def test_tau2_zero_equals_fe_except_aic_offset(self, nsaid):
-        x = build_design_matrix(nsaid)
-        fe = fit_fe(nsaid, x)
-        re = fit_re(nsaid, x, 0.0)
+        fe = fit_fe(nsaid)
+        re = fit_re(nsaid, 0.0)
         assert np.array_equal(re.d_hat, fe.d_hat)
         assert re.log_lik == fe.log_lik
         assert re.aic == fe.aic + 2.0
 
     def test_two_study_tau2_one(self, two_study):
-        re = fit_re(two_study, build_design_matrix(two_study), 1.0)
+        re = fit_re(two_study, 1.0)
         assert re.d_hat[0] == pytest.approx(1.0, abs=1e-14)
         assert re.cov[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_large_tau2_approaches_unweighted_means(self, nsaid):
-        x = build_design_matrix(nsaid)
-        re = fit_re(nsaid, x, 1e6)
+        x = nsaid.design
+        re = fit_re(nsaid, 1e6)
         for j, treat in enumerate(x.column_treatments):
             values = [obs.effect for obs in nsaid.studies if obs.treat_b == treat]
             assert re.d_hat[j] == pytest.approx(float(np.mean(values)), abs=1e-4)
 
     def test_rejects_wrong_kind(self, two_study):
         with pytest.raises(EstimationError):
-            fit_re(two_study, build_design_matrix(two_study), 0.5, kind=ModelKind.ME)
+            fit_re(two_study, 0.5, kind=ModelKind.ME)
 
     def test_rejects_negative_tau2(self, two_study):
         with pytest.raises(EstimationError):
-            fit_re(two_study, build_design_matrix(two_study), -0.5)
+            fit_re(two_study, -0.5)
 
     def test_rejects_bad_ci_level(self, two_study):
-        x = build_design_matrix(two_study)
         with pytest.raises(EstimationError, match="ci_level"):
-            fit_fe(two_study, x, ci_level=1.5)
+            fit_fe(two_study, ci_level=1.5)
         with pytest.raises(EstimationError, match="ci_level"):
-            fit_re(two_study, x, 0.5, ci_level=0.0)
+            fit_re(two_study, 0.5, ci_level=0.0)
 
 
 class TestDegenerateEquivalence:
@@ -388,32 +366,30 @@ class TestDegenerateEquivalence:
         seen = 0
         for _ in range(40):
             ds = random_network(rng, max_treatments=5, max_studies=15)
-            x = build_design_matrix(ds)
             # shrink residual dispersion so lack of fit is tiny
-            fe = fit_fe(ds, x)
+            fe = fit_fe(ds)
             shrunk = tuple(
                 obs.__class__(obs.study_id, obs.treat_a, obs.treat_b,
                               float(f + 0.01 * r), obs.se)
                 for obs, f, r in zip(ds.studies, fe.fitted, fe.residuals)
             )
             ds2 = NetworkDataset(ds.name, ds.measure, shrunk, ds.reference)
-            x2 = build_design_matrix(ds2)
-            fe2 = fit_fe(ds2, x2)
+            x2 = ds2.design
+            fe2 = fit_fe(ds2)
             if q_total(ds2, fe2) > ds2.n_studies - x2.cols:
                 continue
             seen += 1
             assert fit_me(ds2, fe2).phi == 1.0
-            assert estimate_tau2_dl(ds2, x2, fe2) == 0.0
+            assert estimate_tau2_dl(ds2, fe2) == 0.0
             me = fit_me(ds2, fe2)
-            re = fit_re(ds2, x2, 0.0)
+            re = fit_re(ds2, 0.0)
             assert me.aic == re.aic
         assert seen >= 20
 
     def test_equal_variance_pair_re_equals_me(self, two_study):
-        x = build_design_matrix(two_study)
-        fe = fit_fe(two_study, x)
-        tau2 = estimate_tau2_dl(two_study, x, fe)
-        re = fit_re(two_study, x, tau2)
+        fe = fit_fe(two_study)
+        tau2 = estimate_tau2_dl(two_study, fe)
+        re = fit_re(two_study, tau2)
         me = fit_me(two_study, fe)
         assert re.d_hat[0] == pytest.approx(me.d_hat[0], abs=1e-14)
         assert re.cov[0, 0] == pytest.approx(me.cov[0, 0], abs=1e-14)
@@ -432,16 +408,14 @@ class TestScaleAndReferenceInvariance:
             ),
             smoke.reference,
         )
-        x = build_design_matrix(smoke)
-        xs = build_design_matrix(scaled)
-        fe, fes = fit_fe(smoke, x), fit_fe(scaled, xs)
+        fe, fes = fit_fe(smoke), fit_fe(scaled)
         assert np.allclose(fes.d_hat, c * fe.d_hat, rtol=1e-10)
         assert fit_me(scaled, fes).phi == pytest.approx(fit_me(smoke, fe).phi, rel=1e-10)
-        assert estimate_tau2_dl(scaled, xs, fes) == pytest.approx(
-            c**2 * estimate_tau2_dl(smoke, x, fe), rel=1e-8
+        assert estimate_tau2_dl(scaled, fes) == pytest.approx(
+            c**2 * estimate_tau2_dl(smoke, fe), rel=1e-8
         )
-        assert estimate_tau2_reml(scaled, xs) == pytest.approx(
-            c**2 * estimate_tau2_reml(smoke, x), rel=1e-4
+        assert estimate_tau2_reml(scaled) == pytest.approx(
+            c**2 * estimate_tau2_reml(smoke), rel=1e-4
         )
 
     def test_orientation_flip_preserves_fit(self, smoke):
@@ -450,20 +424,19 @@ class TestScaleAndReferenceInvariance:
             smoke.name, smoke.measure,
             tuple(obs.flipped() for obs in smoke.studies), smoke.reference,
         )
-        x = build_design_matrix(smoke)
-        xf = build_design_matrix(flipped)
+        x = smoke.design
+        xf = flipped.design
         assert xf.column_treatments == x.column_treatments
-        fe, fef = fit_fe(smoke, x), fit_fe(flipped, xf)
+        fe, fef = fit_fe(smoke), fit_fe(flipped)
         assert np.allclose(fef.d_hat, fe.d_hat, atol=1e-12)
         assert fef.aic == pytest.approx(fe.aic, abs=1e-10)
         assert q_total(flipped, fef) == pytest.approx(q_total(smoke, fe), rel=1e-12)
 
     def test_reference_change_preserves_contrasts(self, smoke):
         """Pairwise contrasts and fitted values do not depend on the reference."""
-        base_x = build_design_matrix(smoke)
-        base = fit_fe(smoke, base_x)
+        base = fit_fe(smoke)
         other = NetworkDataset(smoke.name, smoke.measure, smoke.studies, "Education")
-        other_fit = fit_fe(other, build_design_matrix(other))
+        other_fit = fit_fe(other)
         for tb in smoke.treatments:
             for ta in smoke.treatments:
                 if ta == tb:
