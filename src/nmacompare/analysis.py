@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -340,10 +340,9 @@ def batch_run(
     return BatchResult(tuple(rows), _histogram(rows), alpha, tau_method)
 
 
-_BATCH_COLUMNS = (
-    "name", "measure", "m", "n", "C", "q_het", "df_het", "p_het", "screen",
-    "tau2", "phi", "aic_me", "aic_re", "delta_aic", "classification", "error",
-)
+# Every BatchRow field but ``source`` is a summary column; ``n_designs`` is headed "C".
+_BATCH_FIELDS = tuple(f.name for f in fields(BatchRow) if f.name != "source")
+_BATCH_COLUMNS = tuple("C" if f == "n_designs" else f for f in _BATCH_FIELDS)
 
 
 def format_csv(rows: Iterable[Sequence[object]]) -> str:
@@ -359,43 +358,19 @@ def format_csv(rows: Iterable[Sequence[object]]) -> str:
 def batch_to_csv(result: BatchResult) -> str:
     """Render the summary table as CSV (deterministic formatting)."""
     return format_csv(
-        [_BATCH_COLUMNS]
-        + [
-            (
-                row.name, row.measure, row.m, row.n, row.n_designs, row.q_het,
-                row.df_het, row.p_het, row.screen, row.tau2, row.phi, row.aic_me,
-                row.aic_re, row.delta_aic, row.classification, row.error,
-            )
-            for row in result.rows
-        ]
+        [_BATCH_COLUMNS] + [[getattr(row, f) for f in _BATCH_FIELDS] for row in result.rows]
     )
 
 
 def batch_to_json(result: BatchResult) -> dict:
-    """Summary rows and histogram as one JSON-serializable document."""
+    """Summary rows and histogram as one JSON-serializable document; empty text is null."""
+    rows = []
+    for row in result.rows:
+        values = (getattr(row, f) for f in _BATCH_FIELDS)
+        rows.append({c: None if v == "" else v for c, v in zip(_BATCH_COLUMNS, values)})
     return {
         "alpha": result.alpha,
         "tau_method": result.tau_method.value,
-        "rows": [
-            {
-                "name": row.name,
-                "measure": row.measure or None,
-                "m": row.m,
-                "n": row.n,
-                "C": row.n_designs,
-                "q_het": row.q_het,
-                "df_het": row.df_het,
-                "p_het": row.p_het,
-                "screen": row.screen or None,
-                "tau2": row.tau2,
-                "phi": row.phi,
-                "aic_me": row.aic_me,
-                "aic_re": row.aic_re,
-                "delta_aic": row.delta_aic,
-                "classification": row.classification or None,
-                "error": row.error or None,
-            }
-            for row in result.rows
-        ],
+        "rows": rows,
         "histogram": result.histogram,
     }

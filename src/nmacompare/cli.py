@@ -2,7 +2,7 @@
 
 Output is machine-readable (JSON/CSV) by default; ``--pretty`` switches to
 indented JSON or a human summary where one exists. Exit codes: 0 success,
-1 validation/data error, 2 usage error.
+1 validation/data error or an unreadable or unwritable path, 2 usage error.
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ def _cmd_qdecomp(args: argparse.Namespace) -> int:
     doc.pop("models")
     doc.pop("delta_aic")
     doc.pop("classification")
-    _emit_json(args, doc)
     if args.csv is not None:
         args.csv.write_text(per_study_csv(ds, q), encoding="utf-8")
+    _emit_json(args, doc)
     return _EXIT_OK
 
 
@@ -273,13 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     try:
         return args.func(args)
-    except ANALYSIS_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA_ERROR
-    except ValueError as exc:
+    except (*ANALYSIS_ERRORS, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DATA_ERROR
 

@@ -421,24 +421,29 @@ def load_dataset(
     """
     path = Path(path)
     fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    ds = parse_dataset(path.read_bytes(), fmt, measure=measure, reference=reference, name=name)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+    ds = parse_dataset(data, fmt, measure=measure, reference=reference, name=name)
     if name is None and ds.name == "dataset":
         ds = dataclasses.replace(ds, name=path.stem)
     return ds
 
 
-def _float_field(raw: str, row: int, column: str) -> float:
+def _number_field(raw: str, row: int, column: str, kind: type) -> float | int:
+    """Parse a CSV cell with ``kind`` (float or int); the error quotes at most 40 characters."""
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise DatasetError(f"row {row}: non-numeric {column} {raw.strip()!r}") from None
-
-
-def _int_field(raw: str, row: int, column: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise DatasetError(f"row {row}: non-numeric {column} {raw.strip()!r}") from None
+        text = raw.strip()
+        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+        if (text[1:] if text.startswith(("+", "-")) else text).isdecimal():
+            raise DatasetError(
+                f"row {row}: {column} {shown} has {len(text)} characters, "
+                "more digits than Python converts to an integer"
+            ) from None
+        raise DatasetError(f"row {row}: non-numeric {column} {shown}") from None
 
 
 def _parse_csv(
@@ -467,8 +472,8 @@ def _parse_csv(
             if len(row) != 5:
                 raise DatasetError(f"row {i}: expected 5 fields, got {len(row)}")
             study_id = row[0].strip() or f"row{i}"
-            effect = _float_field(row[3], i, "effect")
-            se = _float_field(row[4], i, "se")
+            effect = _number_field(row[3], i, "effect", float)
+            se = _number_field(row[4], i, "se", float)
             try:
                 studies.append(ContrastObservation(study_id, row[1], row[2], effect, se))
             except DatasetError as exc:
@@ -478,7 +483,7 @@ def _parse_csv(
     if header == _ARM_BINARY_HEADER:
         if measure is None:
             raise DatasetError("effect measure required for arm-level CSV input")
-        arms = _collect_arms(body, value_parser=_int_field, columns=("events", "total"))
+        arms = _collect_arms(body, kind=int, columns=("events", "total"))
         studies = []
         for study_id, ((treat_a, ea, na), (treat_b, eb, nb)) in arms.items():
             try:
@@ -491,7 +496,7 @@ def _parse_csv(
     if header == _ARM_CONTINUOUS_HEADER:
         if measure is not None and measure is not EffectMeasure.MD:
             raise DatasetError("continuous arm data implies measure MD")
-        arms = _collect_arms(body, value_parser=_float_field, columns=("mean", "se"))
+        arms = _collect_arms(body, kind=float, columns=("mean", "se"))
         studies = []
         for study_id, ((treat_a, ma, sa), (treat_b, mb, sb)) in arms.items():
             try:
@@ -509,7 +514,7 @@ def _parse_csv(
     )
 
 
-def _collect_arms(body, value_parser, columns):
+def _collect_arms(body, kind, columns):
     """Group arm-level rows by study id, preserving file order; two rows per study."""
     arms: dict[str, list[tuple[str, float, float]]] = {}
     for i, row in enumerate(body, start=1):
@@ -518,8 +523,8 @@ def _collect_arms(body, value_parser, columns):
         study_id = row[0].strip()
         if not study_id:
             raise DatasetError(f"row {i}: arm-level rows need an explicit study_id")
-        v1 = value_parser(row[2], i, columns[0])
-        v2 = value_parser(row[3], i, columns[1])
+        v1 = _number_field(row[2], i, columns[0], kind)
+        v2 = _number_field(row[3], i, columns[1], kind)
         arms.setdefault(study_id, []).append((row[1].strip(), v1, v2))
     for study_id, rows in arms.items():
         if len(rows) != 2:

@@ -14,6 +14,7 @@ depend on how individual studies orient their contrast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import Design, NetworkDataset, group_designs
-from .numerics import chi_square_sf
+from .numerics import NumericError, chi_square_sf
 
 if TYPE_CHECKING:
     from .models import ModelFit
@@ -99,7 +100,13 @@ class ScreenResult(Enum):
 def q_total(ds: NetworkDataset, fe: ModelFit) -> float:
     """Lack-of-fit statistic of the fixed-effect model: r' V^-1 r."""
     r = fe.residuals
-    return float(np.sum(r * r * ds.weights()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(np.sum(r * r * ds.weights()))
+    if not math.isfinite(q):
+        raise NumericError(
+            "Q_total overflows: the weighted squared FE residuals exceed the float range"
+        )
+    return q
 
 
 def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:

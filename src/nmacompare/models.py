@@ -58,6 +58,7 @@ class ModelFit:
 
     ``d_hat[j]`` is the estimated effect of ``column_treatments[j]`` relative
     to the dataset reference. ``tau2`` is set for RE fits, ``phi`` for ME fits.
+    ``n_params`` and ``aic`` are derived from the kind, ``d_hat`` and ``log_lik``.
     """
 
     kind: ModelKind
@@ -66,7 +67,6 @@ class ModelFit:
     fitted: np.ndarray
     residuals: np.ndarray
     log_lik: float
-    aic: float
     ci_level: float
     column_treatments: tuple[str, ...]
     reference: str
@@ -83,6 +83,11 @@ class ModelFit:
     def n_params(self) -> int:
         """Estimated parameters: n-1 effects, plus one variance parameter unless FE."""
         return len(self.d_hat) + (0 if self.kind is ModelKind.FE else 1)
+
+    @property
+    def aic(self) -> float:
+        """Akaike information criterion 2 k - 2 log L with k = ``n_params``."""
+        return 2.0 * self.n_params - 2.0 * self.log_lik
 
     def contrast(self, treat_b: str, treat_a: str | None = None) -> tuple[float, float]:
         """Estimate and standard error of ``treat_b`` relative to ``treat_a``.
@@ -120,15 +125,26 @@ class ModelFit:
 
 
 def log_likelihood(y: np.ndarray, mean: np.ndarray, cov_diag: np.ndarray) -> float:
-    """Gaussian log-likelihood with a diagonal covariance matrix."""
+    """Gaussian log-likelihood with a diagonal covariance matrix.
+
+    Raises NumericError when a term leaves the float range, as the squared
+    residual does for any residual above about 1.3e154.
+    """
     y = np.asarray(y, dtype=float)
     mean = np.asarray(mean, dtype=float)
     cov_diag = np.asarray(cov_diag, dtype=float)
     if np.any(cov_diag <= 0):
         raise EstimationError("non-positive variance in likelihood")
     m = y.size
-    quad = float(np.sum((y - mean) ** 2 / cov_diag))
-    return -0.5 * (m * math.log(2.0 * math.pi) + float(np.sum(np.log(cov_diag))) + quad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(np.sum((y - mean) ** 2 / cov_diag))
+        log_det = float(np.sum(np.log(cov_diag)))
+    if not (math.isfinite(quad) and math.isfinite(log_det)):
+        raise NumericError(
+            "log-likelihood overflows: the weighted squared residuals or the variances "
+            "exceed the float range"
+        )
+    return -0.5 * (m * math.log(2.0 * math.pi) + log_det + quad)
 
 
 def _check_ci_level(ci_level: float) -> None:
@@ -147,35 +163,38 @@ def _gls_solve(x: np.ndarray, xw: np.ndarray, rhs: np.ndarray):
         raise EstimationError("rank-deficient design") from None
 
 
-def _wls(x: np.ndarray, y: np.ndarray, sigma2: np.ndarray):
-    """Weighted least squares with diagonal covariance ``sigma2``.
+def _wls(ds: NetworkDataset, sigma2: np.ndarray):
+    """Generalized least squares for E(y) = X d with diagonal covariance ``sigma2``.
 
-    Returns (d_hat, cov, fitted, residuals). The covariance is the Gram
-    inverse, obtained by solving against the identity.
+    Returns (d_hat, C, log det X'WX, fitted) with W = diag(1 / sigma2) and
+    C = (X'WX)^-1, the covariance of d_hat. One Cholesky factorization of
+    X'WX is solved against [X'Wy | I], and C is symmetrized.
     """
+    x = ds.design.matrix
     xw = x * (1.0 / sigma2)[:, None]
-    rhs = np.concatenate([(xw.T @ y)[:, None], np.eye(x.shape[1])], axis=1)
-    solution = _gls_solve(x, xw, rhs).solution
-    d_hat = solution[:, 0].copy()
-    cov = solution[:, 1:]
-    cov = 0.5 * (cov + cov.T)
-    fitted = x @ d_hat
-    return d_hat, cov, fitted, y - fitted
+    rhs = np.concatenate([(xw.T @ ds.effects())[:, None], np.eye(x.shape[1])], axis=1)
+    fit = _gls_solve(x, xw, rhs)
+    d_hat = fit.solution[:, 0].copy()
+    cov = fit.solution[:, 1:]
+    return d_hat, 0.5 * (cov + cov.T), fit.log_det, x @ d_hat
+
+
+def _fit(ds: NetworkDataset, kind: ModelKind, tau2: float, ci_level: float) -> ModelFit:
+    """GLS fit with covariance V + tau2 I; FE is tau2 = 0 and stores no tau2."""
+    _check_ci_level(ci_level)
+    y = ds.effects()
+    sigma2 = ds.variances() + tau2
+    d_hat, cov, _, fitted = _wls(ds, sigma2)
+    return ModelFit(
+        kind, d_hat, cov, fitted, y - fitted, log_likelihood(y, fitted, sigma2),
+        ci_level, ds.design.column_treatments, ds.reference,
+        tau2=None if kind is ModelKind.FE else float(tau2),
+    )
 
 
 def fit_fe(ds: NetworkDataset, ci_level: float = DEFAULT_CI_LEVEL) -> ModelFit:
     """Fixed-effect fit: weighted least squares with inverse-variance weights."""
-    _check_ci_level(ci_level)
-    x = ds.design
-    y = ds.effects()
-    v = ds.variances()
-    d_hat, cov, fitted, resid = _wls(x.matrix, y, v)
-    ll = log_likelihood(y, fitted, v)
-    k = x.cols
-    return ModelFit(
-        ModelKind.FE, d_hat, cov, fitted, resid, ll, 2.0 * k - 2.0 * ll,
-        ci_level, x.column_treatments, ds.reference,
-    )
+    return _fit(ds, ModelKind.FE, 0.0, ci_level)
 
 
 def fit_re(
@@ -189,17 +208,7 @@ def fit_re(
         raise EstimationError(f"fit_re expects a random-effects kind, got {kind}")
     if tau2 < 0:
         raise EstimationError("negative between-study variance")
-    _check_ci_level(ci_level)
-    x = ds.design
-    y = ds.effects()
-    sigma2 = ds.variances() + tau2
-    d_hat, cov, fitted, resid = _wls(x.matrix, y, sigma2)
-    ll = log_likelihood(y, fitted, sigma2)
-    k = x.cols + 1
-    return ModelFit(
-        kind, d_hat, cov, fitted, resid, ll, 2.0 * k - 2.0 * ll,
-        ci_level, x.column_treatments, ds.reference, tau2=float(tau2),
-    )
+    return _fit(ds, kind, tau2, ci_level)
 
 
 def _require_residual_df(ds: NetworkDataset, n_effects: int) -> int:
@@ -226,10 +235,9 @@ def fit_me(ds: NetworkDataset, fe: ModelFit) -> ModelFit:
     df = _require_residual_df(ds, len(fe.d_hat))
     phi = max(1.0, q_total(ds, fe) / df)
     ll = log_likelihood(ds.effects(), fe.fitted, phi * ds.variances())
-    k = len(fe.d_hat) + 1
     return ModelFit(
         ModelKind.ME, fe.d_hat, phi * fe.cov, fe.fitted, fe.residuals,
-        ll, 2.0 * k - 2.0 * ll, fe.ci_level, fe.column_treatments, fe.reference, phi=phi,
+        ll, fe.ci_level, fe.column_treatments, fe.reference, phi=phi,
     )
 
 
@@ -274,35 +282,36 @@ def reml_objective(tau2: float, ds: NetworkDataset) -> float:
     return -0.5 * (float(np.sum(np.log(sigma2))) + fit.log_det + quad)
 
 
-def _reml_newton_terms(tau2: float, xm: np.ndarray, y: np.ndarray, v: np.ndarray):
+def _reml_newton_terms(tau2: float, ds: NetworkDataset):
     """l_R(tau2), its score and the observed information -d^2 l_R / d tau2^2.
 
-    With P = W - W X (X'WX)^-1 X' W, W = (V + tau2 I)^-1 and r the GLS
-    residuals (so P y = W r):
+    With W = (V + tau2 I)^-1, C = (X'WX)^-1 from ``_wls``,
+    P = W - W X C X' W and r the GLS residuals (so P y = W r):
 
     * score       = 1/2 [ (Wr)'(Wr) - tr P ]
     * information = y' P^3 y - 1/2 tr P^2
 
-    tr P and tr P^2 come from S = (X'WX)^-1 X' through the leverages
-    x_i' S_i and the p x p matrix S W^2 X; y' P^3 y is the weighted residual
-    sum of squares of a GLS fit of P y. Extreme weights can overflow w^2 and
-    w^3, so the score or information may come back non-finite, without a
-    warning; the caller then bisects.
+    tr P and tr P^2 come from the leverages x_i' C x_i, the row sums of
+    (XC) o X, and the p x p matrix K = (XC)' W^2 X; y' P^3 y is the weighted
+    residual sum of squares of a GLS fit of P y, done with XC. Extreme
+    weights can overflow w^2 and w^3, so the score or information may come
+    back non-finite, without a warning; the caller then bisects.
     """
-    sigma2 = v + tau2
+    xm = ds.design.matrix
+    sigma2 = ds.variances() + tau2
     w = 1.0 / sigma2
-    fit = _gls_solve(xm, xm * w[:, None], xm.T)
-    s = fit.solution
-    resid = y - xm @ (s @ (w * y))
+    _, c, log_det, fitted = _wls(ds, sigma2)
+    resid = ds.effects() - fitted
     py = w * resid
-    value = -0.5 * (float(np.sum(np.log(sigma2))) + fit.log_det + float(np.sum(py * resid)))
+    value = -0.5 * (float(np.sum(np.log(sigma2))) + log_det + float(np.sum(py * resid)))
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = w * w
-        lev = np.sum(xm * s.T, axis=1)
+        xc = xm @ c
+        lev = np.sum(xc * xm, axis=1)
         tr_p = float(np.sum(w - w2 * lev))
         score = 0.5 * (float(np.sum(py * py)) - tr_p)
-        ppy = py - xm @ (s @ (w * py))
-        k = (s * w2) @ xm
+        ppy = py - xc @ (xm.T @ (w * py))
+        k = (xc * w2[:, None]).T @ xm
         tr_p2 = float(np.sum(w2) - 2.0 * np.sum(w2 * w * lev) + np.sum(k * k.T))
         info = float(np.sum(w * ppy * ppy)) - 0.5 * tr_p2
     return value, score, info
@@ -334,15 +343,17 @@ def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
     _require_residual_df(ds, ds.design.cols)
     y = ds.effects()
     v = ds.variances()
-    xm = ds.design.matrix
-    upper = 10.0 * float(np.var(y, ddof=1)) + 10.0 * float(np.max(v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = 10.0 * float(np.var(y, ddof=1)) + 10.0 * float(np.max(v))
+    if not math.isfinite(upper):
+        raise NumericError("REML search bound 10 var(y) + 10 max(s_i^2) overflows the float range")
     grid = np.concatenate(([0.0], np.geomspace(1e-2 * float(np.median(v)), upper, 15)))
     values = [reml_objective(float(t), ds) for t in grid]
     if not all(math.isfinite(f) for f in values):
         raise NumericError("restricted likelihood is not finite on the tau^2 scan")
     best = int(np.argmax(values))
     t = float(grid[best])
-    _, score, info = _reml_newton_terms(t, xm, y, v)
+    _, score, info = _reml_newton_terms(t, ds)
     if score > 0:
         if best == len(grid) - 1:
             return t
@@ -359,7 +370,7 @@ def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
         else:
             step = 0.5 * (lo + hi) - t
         t += step
-        value, score, info = _reml_newton_terms(t, xm, y, v)
+        value, score, info = _reml_newton_terms(t, ds)
         if score > 0:
             lo = t
         else:

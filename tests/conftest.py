@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -67,6 +68,21 @@ ESCAPING_INPUTS = {
         "CSV line 2: field larger than field limit",
     ),
 }
+
+
+def _four_study_md(effects) -> str:
+    """JSON text of an MD network: two A-B then two B-C studies, every se 1."""
+    pairs = (("A", "B"), ("A", "B"), ("B", "C"), ("B", "C"))
+    return json.dumps({"measure": "MD", "studies": [
+        {"study_id": f"s{i}", "treat_a": a, "treat_b": b, "effect": y, "se": 1}
+        for i, ((a, b), y) in enumerate(zip(pairs, effects), start=1)
+    ]})
+
+
+# The FE residuals are +-1e200, so Q_total and the FE log-likelihood overflow.
+OVERFLOW_FE = _four_study_md([1e200, -1e200, 0.5, 0.7])
+# Consistent, so FE, DL and ME fit; var(y) in the REML search bound overflows.
+OVERFLOW_REML_BOUND = _four_study_md([1e160, 1e160, 2e160, 2e160])
 
 
 @pytest.fixture(scope="session")
@@ -143,6 +159,11 @@ def random_network(
         int(rng.integers(0, 3))
     ]
     return NetworkDataset("sim", measure, tuple(studies))
+
+
+def large_random_network() -> NetworkDataset:
+    """A fixed ``random_network`` draw with 29 treatments and 198 studies."""
+    return random_network(np.random.default_rng(29), max_treatments=30, max_studies=200)
 
 
 def decompose(ds: NetworkDataset):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from nmacompare import (
+    BatchResult,
+    BatchRow,
     Classification,
     DatasetError,
     EstimationError,
@@ -250,6 +252,40 @@ class TestBatch:
             ("huge_se", "study 1: effect or se is too large for a floating-point number")
         ]
         assert [row for row in result.rows if not row.error] == list(batch_run(corpus).rows)
+
+    def test_unreadable_entry_is_an_error_row(self, tmp_path, corpus_dir):
+        sub = tmp_path / "sub.json"
+        sub.mkdir()
+        corpus = sorted(corpus_dir.glob("*.json"))
+        result = batch_run(corpus + [sub])
+        errors = [row for row in result.rows if row.error]
+        assert [row.name for row in errors] == ["sub"]
+        assert errors[0].error.startswith(f"cannot read {str(sub)!r}: ")
+        assert [row for row in result.rows if not row.error] == list(batch_run(corpus).rows)
+
+    def test_serializers_write_every_field_but_source(self):
+        rows = (
+            BatchRow("a.json", "a", "MD", 3, 2, 1, 0.0, 0, None, "untestable",
+                     0.0, 1.0, 5.5, 4.5, -1.0, "", ""),
+            BatchRow("b.json", "b", error="bad file"),
+        )
+        result = BatchResult(rows, {}, 0.05, TauMethod.DL)
+        assert batch_to_csv(result).splitlines() == [
+            "name,measure,m,n,C,q_het,df_het,p_het,screen,tau2,phi,aic_me,aic_re,"
+            "delta_aic,classification,error",
+            "a,MD,3,2,1,0,0,,untestable,0,1,5.5,4.5,-1,,",
+            "b,,,,,,,,,,,,,,,bad file",
+        ]
+        doc = batch_to_json(result)
+        assert doc["rows"][0] == {
+            "name": "a", "measure": "MD", "m": 3, "n": 2, "C": 1, "q_het": 0.0,
+            "df_het": 0, "p_het": None, "screen": "untestable", "tau2": 0.0, "phi": 1.0,
+            "aic_me": 5.5, "aic_re": 4.5, "delta_aic": -1.0, "classification": None,
+            "error": None,
+        }
+        assert doc["rows"][1] == dict.fromkeys(doc["rows"][0], None) | {
+            "name": "b", "error": "bad file",
+        }
 
     def test_histogram_edges_aligned_to_three(self, corpus_dir):
         result = batch_run(sorted(corpus_dir.glob("*.json")))

@@ -13,7 +13,7 @@ import pytest
 
 from nmacompare.cli import main
 
-from conftest import CORPUS_DIR, ESCAPING_INPUTS
+from conftest import CORPUS_DIR, ESCAPING_INPUTS, OVERFLOW_FE, OVERFLOW_REML_BOUND
 
 NSAID_CSV = str(CORPUS_DIR / "nsaid_pain_relief.csv")
 NSAID_JSON = str(CORPUS_DIR / "nsaid_pain_relief.json")
@@ -66,6 +66,44 @@ def test_non_finite_results_are_not_written_as_json(tmp_path):
         assert result.returncode == 1, argv
         assert result.stdout == ""
         assert result.stderr.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare"], ["compare", "--tau-method", "reml"], ["fit", "--model", "re"],
+    ["fit", "--model", "me"], ["fit", "--model", "fe"], ["qdecomp"], ["loo"],
+])
+def test_fe_overflow_exits_1_naming_it(capsys, tmp_path, argv):
+    """Runs in-process, where the RuntimeWarning filter turns any numpy warning into a failure."""
+    path = tmp_path / "huge.json"
+    path.write_text(OVERFLOW_FE)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: log-likelihood overflows") and err.count("\n") == 1
+
+
+def test_reml_bound_overflow_exits_1_naming_it(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(OVERFLOW_REML_BOUND)
+    assert run(capsys, "compare", str(path))[0] == 0
+    code, out, err = run(capsys, "compare", "--tau-method", "reml", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: REML search bound 10 var(y) + 10 max(s_i^2) overflows the float range\n"
+
+
+@pytest.mark.parametrize("case", ["validate-dir", "out-in-file", "out-dir-is-file", "csv-is-dir"])
+def test_unusable_path_exits_1_with_one_line(capsys, tmp_path, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    argv = {
+        "validate-dir": ["validate", str(tmp_path)],
+        "out-in-file": ["compare", NSAID_JSON, "--out", str(a_file / "x.json")],
+        "out-dir-is-file": ["batch", str(CORPUS_DIR), "--out-dir", str(a_file)],
+        "csv-is-dir": ["qdecomp", NSAID_JSON, "--csv", str(tmp_path)],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
 
 
 class TestValidate:
@@ -299,6 +337,16 @@ class TestBatch:
         assert (serial / "histogram.json").read_bytes() == (parallel / "histogram.json").read_bytes()
         histogram = json.loads((serial / "histogram.json").read_text())
         assert set(histogram) == {"logOR", "logRR"}
+
+    def test_unreadable_entry_is_an_error_row(self, capsys, tmp_path):
+        for path in CORPUS_DIR.glob("*.json"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        (tmp_path / "sub.json").mkdir()
+        code, out, _ = run(capsys, "batch", str(tmp_path))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 5
+        assert lines[-1].startswith("sub,,") and "cannot read" in lines[-1]
 
     def test_not_a_directory(self, capsys):
         code, _, err = run(capsys, "batch", NSAID_JSON)

@@ -21,6 +21,7 @@ from nmacompare import (
     derive_contrast_binary,
     derive_contrast_continuous,
     group_designs,
+    load_dataset,
     parse_dataset,
 )
 
@@ -185,6 +186,16 @@ class TestParseJson:
             parse_dataset(json.dumps({"measure": 1, "studies": [study]}), "json")
 
 
+def test_unreadable_path_is_a_dataset_error(tmp_path):
+    """A directory, even one named like a dataset, is a DatasetError naming the path."""
+    path = tmp_path / "sub.json"
+    path.mkdir()
+    with pytest.raises(DatasetError, match=r"^cannot read '.*sub\.json': "):
+        load_dataset(path)
+    with pytest.raises(DatasetError, match=r"^cannot read '.*missing\.csv': "):
+        load_dataset(tmp_path / "missing.csv")
+
+
 @pytest.mark.parametrize("case", sorted(ESCAPING_INPUTS))
 def test_parser_escapes_become_dataset_errors(case):
     suffix, text, message = ESCAPING_INPUTS[case]
@@ -253,6 +264,20 @@ class TestArmLevelCsv:
         obs = ds.studies[0]
         assert obs.treat_a == "P" and obs.treat_b == "A"
         assert obs.effect == pytest.approx(math.log(2.25), abs=1e-12)
+
+    def test_count_past_digit_limit_gives_short_error(self):
+        text = "study_id,treatment,events,total\ns1,P,1," + "9" * 5000 + "\ns1,A,2,10\n"
+        with pytest.raises(DatasetError) as info:
+            parse_dataset(text, "csv", measure="logOR")
+        message = str(info.value)
+        assert message.startswith("row 1: total '9999")
+        assert "5000 characters, more digits than Python converts to an integer" in message
+        assert len(message) < 150
+
+    def test_long_non_numeric_value_is_truncated(self):
+        text = "study_id,treatment,mean,se\ns1,P," + "x" * 5000 + ",1\ns1,A,2,1\n"
+        with pytest.raises(DatasetError, match=r"^row 1: non-numeric mean 'x{40}'\.\.\.$"):
+            parse_dataset(text, "csv")
 
     def test_binary_needs_two_arms(self):
         text = "study_id,treatment,events,total\ns1,P,10,100\n"

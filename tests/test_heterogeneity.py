@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nmacompare import (
     NetworkDataset,
+    NumericError,
     ScreenResult,
     fit_fe,
     q_decompose,
@@ -37,6 +40,12 @@ class TestQTotal:
         _, _, q = decompose(nsaid)
         assert q.q_total == pytest.approx(82.25, abs=1.0)
         assert q.q_total == pytest.approx(q.q_het, rel=1e-12)
+
+    def test_overflow_named(self):
+        ds = single_pair([0.0, 2.0], [1.0, 1.0])
+        fe = dataclasses.replace(fit_fe(ds), residuals=np.array([1e200, -1e200]))
+        with pytest.raises(NumericError, match="Q_total overflows"):
+            q_total(ds, fe)
 
 
 class TestNsaidDecomposition:

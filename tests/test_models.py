@@ -12,18 +12,24 @@ from nmacompare import (
     EstimationError,
     ModelKind,
     NetworkDataset,
+    NumericError,
     estimate_tau2_dl,
     estimate_tau2_reml,
     fit_fe,
     fit_me,
     fit_re,
     log_likelihood,
+    parse_dataset,
     q_total,
     reml_objective,
 )
+from nmacompare import models
 from nmacompare.models import _reml_newton_terms
 
 from conftest import (
+    OVERFLOW_FE,
+    OVERFLOW_REML_BOUND,
+    large_random_network,
     make_dataset,
     random_network,
     reml_grid_argmax,
@@ -93,6 +99,14 @@ class TestLogLikelihood:
     def test_non_positive_variance(self):
         with pytest.raises(EstimationError):
             log_likelihood([0.0], [0.0], [0.0])
+
+    def test_overflow_named(self):
+        with pytest.raises(NumericError, match="log-likelihood overflows"):
+            log_likelihood([1e200], [-1e200], [1.0])
+
+    def test_fe_fit_overflow_named(self):
+        with pytest.raises(NumericError, match="log-likelihood overflows"):
+            fit_fe(parse_dataset(OVERFLOW_FE, "json"))
 
     def test_delta_aic_matches_direct_expression(self):
         """AIC_ME - AIC_RE from likelihoods equals the explicit log-det form."""
@@ -206,10 +220,10 @@ class TestRemlNewtonTerms:
     def test_score_and_information_match_finite_differences(self, smoke):
         rng = np.random.default_rng(17)
         cases = [smoke] + [random_network(rng, max_treatments=6, max_studies=25) for _ in range(5)]
+        cases.append(large_random_network())
         for ds in cases:
-            x = ds.design
             for tau2 in (0.01, 0.1, 0.5):
-                value, score, info = _reml_newton_terms(tau2, x.matrix, ds.effects(), ds.variances())
+                value, score, info = _reml_newton_terms(tau2, ds)
                 h = 1e-4 * tau2
                 lo, mid, hi = (reml_objective(t, ds) for t in (tau2 - h, tau2, tau2 + h))
                 assert value == pytest.approx(mid, abs=1e-9)
@@ -220,6 +234,26 @@ class TestRemlNewtonTerms:
 class TestTau2Reml:
     def test_duplicates_zero(self, duplicates):
         assert estimate_tau2_reml(duplicates) == 0.0
+
+    def test_solves_at_most_p_plus_one_columns(self, smoke, monkeypatch):
+        """The Newton terms come from C = (X'WX)^-1, not from a solve against X'."""
+        widths = []
+        solve_spd = models.solve_spd
+
+        def spy(a, b):
+            widths.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            return solve_spd(a, b)
+
+        monkeypatch.setattr(models, "solve_spd", spy)
+        for ds in (smoke, large_random_network()):
+            widths.clear()
+            estimate_tau2_reml(ds)
+            assert widths and max(widths) <= ds.design.cols + 1
+
+    def test_search_bound_overflow_named(self):
+        ds = parse_dataset(OVERFLOW_REML_BOUND, "json")
+        with pytest.raises(NumericError, match="REML search bound .* overflows"):
+            estimate_tau2_reml(ds)
 
     def test_boundary_maximum_beats_interior_local_maximum(self):
         """l_R has a local maximum near 1.107 that is lower than l_R(0)."""
