@@ -116,11 +116,16 @@ def fit_random_effects(
     """Random-effects fit at the tau^2 that ``tau_method`` estimates.
 
     ``fe`` is the FE fit of ``ds``; DL takes its covariance and residuals.
+    Any ``tau_method`` other than a ``TauMethod`` member raises EstimationError.
     """
     if tau_method is TauMethod.DL:
         tau2, kind = estimate_tau2_dl(ds, fe), ModelKind.RE_DL
-    else:
+    elif tau_method is TauMethod.REML:
         tau2, kind = estimate_tau2_reml(ds), ModelKind.RE_REML
+    else:
+        raise EstimationError(
+            f"unknown tau method {tau_method!r} (expected TauMethod.DL or TauMethod.REML)"
+        )
     return fit_re(ds, tau2, kind=kind, ci_level=ci_level)
 
 

@@ -142,7 +142,7 @@ class NetworkDataset:
     lexicographically smallest treatment when not supplied. The numeric
     columns are built once, at construction: ``effects()``, ``std_errors()``,
     ``variances()`` and ``weights()`` return the same read-only arrays.
-    ``design`` is the contrast-coding matrix, built on first use.
+    ``design`` is the contrast coding (``DesignMatrix``), built on first use.
     """
 
     name: str
@@ -255,37 +255,70 @@ def group_designs(ds: NetworkDataset) -> list[Design]:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Contrast-coding matrix with one row per study.
+    """Contrast coding of the studies, held as the two endpoint columns of each row.
 
-    Row i carries +1 in the column of ``treat_b`` and -1 in the column of
-    ``treat_a``; the reference treatment has no column, so E(y) = X d with d
-    the relative effects of the non-reference treatments versus the reference.
+    Row i of X carries +1 in the column of ``treat_b`` and -1 in the column
+    of ``treat_a``; the reference treatment has no column, so E(y) = X d with
+    d the relative effects of the non-reference treatments versus the
+    reference. ``b_idx[i]`` and ``a_idx[i]`` are those columns, with the
+    reference mapped to the dummy column ``cols``, so the kernels work on
+    arrays padded by one entry and drop it. ``gram_index`` holds, for the
+    four entries (a, a), (b, b), (lo, hi), (hi, lo) of every row with
+    lo/hi = min/max(a, b), their flat positions in a (cols + 1)^2 matrix:
+    one ``np.bincount`` with weights (w, w, -w, -w) gives X'WX as the
+    weighted Laplacian of the network, exactly symmetric. ``xt_index`` is
+    (b_idx, a_idx) for X'v as one bincount of (v, -v).
+
+    The dense m x (n - 1) ``matrix`` is built on first access; the fits
+    never read it.
     """
 
-    matrix: np.ndarray
+    a_idx: np.ndarray
+    b_idx: np.ndarray
     column_treatments: tuple[str, ...]
+    gram_index: np.ndarray = field(init=False, repr=False)
+    xt_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=float)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        a = np.asarray(self.a_idx, dtype=np.intp)
+        b = np.asarray(self.b_idx, dtype=np.intp)
+        size = self.cols + 1
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        gram_index = np.concatenate((a * size + a, b * size + b, lo * size + hi, hi * size + lo))
+        for name, arr in (
+            ("a_idx", a),
+            ("b_idx", b),
+            ("gram_index", gram_index),
+            ("xt_index", np.concatenate((b, a))),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def cols(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.column_treatments)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense m x cols design matrix X (read-only)."""
+        rows = np.arange(len(self.a_idx))
+        mat = np.zeros((len(rows), self.cols + 1))
+        mat[rows, self.b_idx] = 1.0
+        mat[rows, self.a_idx] = -1.0
+        mat = mat[:, :-1].copy()
+        mat.setflags(write=False)
+        return mat
 
 
 def build_design_matrix(ds: NetworkDataset) -> DesignMatrix:
-    """Design matrix for the dataset; columns are the sorted non-reference treatments."""
+    """Design for the dataset; columns are the sorted non-reference treatments."""
     columns = tuple(t for t in ds.treatments if t != ds.reference)
     index = {t: j for j, t in enumerate(columns)}
-    mat = np.zeros((ds.n_studies, len(columns)), dtype=float)
-    for i, obs in enumerate(ds.studies):
-        if obs.treat_b != ds.reference:
-            mat[i, index[obs.treat_b]] = 1.0
-        if obs.treat_a != ds.reference:
-            mat[i, index[obs.treat_a]] = -1.0
-    return DesignMatrix(mat, columns)
+    index[ds.reference] = len(columns)
+    m = ds.n_studies
+    a = np.fromiter((index[obs.treat_a] for obs in ds.studies), dtype=np.intp, count=m)
+    b = np.fromiter((index[obs.treat_b] for obs in ds.studies), dtype=np.intp, count=m)
+    return DesignMatrix(a, b, columns)
 
 
 # ---------------------------------------------------------------------------

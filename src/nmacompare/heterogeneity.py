@@ -110,34 +110,34 @@ def q_total(ds: NetworkDataset, fe: ModelFit) -> float:
 
 
 def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
-    """Decompose Q_total into per-design and per-study heterogeneity plus inconsistency."""
+    """Decompose Q_total into per-design and per-study heterogeneity plus inconsistency.
+
+    Every study carries the index of its design in ``group_designs`` order;
+    ``np.bincount`` over that index gives the pooled design means, Q_het per
+    design and, with the FE fitted values, Q_inc, in one pass over the studies.
+    """
     designs = group_designs(ds)
     w = ds.weights()
     m = ds.n_studies
     n_effects = ds.design.cols
 
-    per_design = []
-    per_study_q = np.zeros(m)
-    q_inc_acc = 0.0
-    for design in designs:
-        idx = np.asarray(design.members)
-        signs = np.array([ds.studies[i].canonical_sign for i in idx])
-        y_c = np.array([ds.studies[i].effect for i in idx]) * signs
-        w_c = w[idx]
-        pooled = float(np.sum(w_c * y_c) / np.sum(w_c))
-        contrib = w_c * (y_c - pooled) ** 2
-        per_study_q[idx] = contrib
-        per_design.append(DesignContribution(design, float(np.sum(contrib)), pooled))
-        fitted_c = fe.fitted[idx] * signs
-        q_inc_acc += float(np.sum(w_c * (pooled - fitted_c) ** 2))
+    design_id = np.empty(m, dtype=np.intp)
+    for j, design in enumerate(designs):
+        design_id[list(design.members)] = j
+    signs = np.array([obs.canonical_sign for obs in ds.studies])
+    y_c = ds.effects() * signs
+    pooled = np.bincount(design_id, w * y_c) / np.bincount(design_id, w)
+    pooled_c = pooled[design_id]
+    per_study_q = w * (y_c - pooled_c) ** 2
+    per_design_q = np.bincount(design_id, per_study_q)
 
     q_het = float(np.sum(per_study_q))
     df_het = m - len(designs)
     df_inc = len(designs) - n_effects
     # A connected network with C = n-1 designs is a tree: the FE fit
     # reproduces every design mean exactly, so inconsistency is identically
-    # zero and the accumulated value is rounding noise.
-    q_inc = q_inc_acc if df_inc > 0 else 0.0
+    # zero and the computed value is rounding noise.
+    q_inc = float(np.sum(w * (pooled_c - fe.fitted * signs) ** 2)) if df_inc > 0 else 0.0
 
     return QDecomposition(
         q_total=q_total(ds, fe),
@@ -147,8 +147,12 @@ def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
         df_inc=df_inc,
         p_het=chi_square_sf(q_het, df_het) if df_het >= 1 else None,
         p_inc=chi_square_sf(q_inc, df_inc) if df_inc >= 1 else None,
-        per_design=tuple(per_design),
+        per_design=tuple(
+            DesignContribution(design, float(q), float(mean))
+            for design, q, mean in zip(designs, per_design_q, pooled)
+        ),
         per_study=tuple(
-            StudyContribution(i, float(per_study_q[i]), float(w[i])) for i in range(m)
+            StudyContribution(i, q, wi)
+            for i, (q, wi) in enumerate(zip(per_study_q.tolist(), w.tolist()))
         ),
     )

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import NetworkDataset
+from .dataset import DesignMatrix, NetworkDataset
 from .heterogeneity import q_total
 from .numerics import NumericError, normal_quantile, solve_spd
 
@@ -152,13 +152,61 @@ def _check_ci_level(ci_level: float) -> None:
         raise EstimationError(f"ci_level must be in (0, 1), got {ci_level!r}")
 
 
-def _gls_solve(x: np.ndarray, xw: np.ndarray, rhs: np.ndarray):
+def _bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sums of ``weights`` into ``size`` bins by ``index``, per row of a 2-D ``weights``."""
+    if weights.ndim == 1:
+        return np.bincount(index, weights, minlength=size)
+    k = weights.shape[0]
+    index = (index + size * np.arange(k)[:, None]).ravel()
+    return np.bincount(index, weights.ravel(), minlength=k * size).reshape(k, size)
+
+
+def _gram(x: DesignMatrix, w: np.ndarray) -> np.ndarray:
+    """X' diag(w) X, the weighted Laplacian of the network without the reference.
+
+    ``w`` holds one weight per study, or a (k, m) stack of weight vectors for
+    a (k, p, p) stack of matrices. Entries may come back non-finite when the
+    weights are extreme; ``_gls_solve`` checks them.
+    """
+    size = x.cols + 1
+    flat = _bincount(x.gram_index, np.concatenate((w, w, -w, -w), axis=-1), size * size)
+    return flat.reshape(*w.shape[:-1], size, size)[..., :-1, :-1]
+
+
+def _xt(x: DesignMatrix, v: np.ndarray) -> np.ndarray:
+    """X'v, per row of a 2-D ``v``."""
+    return _bincount(x.xt_index, np.concatenate((v, -v), axis=-1), x.cols + 1)[..., :-1]
+
+
+def _x_times(x: DesignMatrix, d: np.ndarray) -> np.ndarray:
+    """X d, per row of a 2-D ``d``: d_b - d_a for each study, the reference at 0."""
+    pad = np.zeros(d.shape[:-1] + (x.cols + 1,))
+    pad[..., :-1] = d
+    return pad[..., x.b_idx] - pad[..., x.a_idx]
+
+
+def _leverages(x: DesignMatrix, c: np.ndarray) -> np.ndarray:
+    """x_i' C x_i = (C_bb - C_ab) + (C_aa - C_ab) for each study, for symmetric C."""
+    pad = np.zeros((x.cols + 1, x.cols + 1))
+    pad[:-1, :-1] = c
+    a, b = x.a_idx, x.b_idx
+    c_ab = pad[a, b]
+    return (pad[b, b] - c_ab) + (pad[a, a] - c_ab)
+
+
+def _gls_solve(gram: np.ndarray, rhs: np.ndarray):
     """Solve the weighted Gram system X'WX z = rhs by one Cholesky factorization.
 
-    ``xw`` is W X. Returns the ``SpdSolveResult``: the solution and log det of X'WX.
+    Returns the ``SpdSolveResult``: the solution and log det of X'WX. A stack
+    of Gram matrices is solved by one stacked factorization.
     """
+    if not np.isfinite(gram).all():
+        raise NumericError(
+            "X'WX overflows: an extreme weight 1/(s_i^2 + tau^2) makes the Gram matrix "
+            "exceed the float range"
+        )
     try:
-        return solve_spd(x.T @ xw, rhs)
+        return solve_spd(gram, rhs)
     except NumericError:
         raise EstimationError("rank-deficient design") from None
 
@@ -167,16 +215,21 @@ def _wls(ds: NetworkDataset, sigma2: np.ndarray):
     """Generalized least squares for E(y) = X d with diagonal covariance ``sigma2``.
 
     Returns (d_hat, C, log det X'WX, fitted) with W = diag(1 / sigma2) and
-    C = (X'WX)^-1, the covariance of d_hat. One Cholesky factorization of
-    X'WX is solved against [X'Wy | I], and C is symmetrized.
+    C = (X'WX)^-1, the covariance of d_hat. X'WX and X'Wy are built by
+    ``np.bincount`` from the endpoint columns of each study, in O(m); one
+    Cholesky factorization of X'WX is solved against [X'Wy | I], and C is
+    symmetrized.
     """
-    x = ds.design.matrix
-    xw = x * (1.0 / sigma2)[:, None]
-    rhs = np.concatenate([(xw.T @ ds.effects())[:, None], np.eye(x.shape[1])], axis=1)
-    fit = _gls_solve(x, xw, rhs)
+    x = ds.design
+    w = 1.0 / sigma2
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _gram(x, w)
+        xty = _xt(x, w * ds.effects())
+    rhs = np.concatenate([xty[:, None], np.eye(x.cols)], axis=1)
+    fit = _gls_solve(gram, rhs)
     d_hat = fit.solution[:, 0].copy()
     cov = fit.solution[:, 1:]
-    return d_hat, 0.5 * (cov + cov.T), fit.log_det, x @ d_hat
+    return d_hat, 0.5 * (cov + cov.T), fit.log_det, _x_times(x, d_hat)
 
 
 def _fit(ds: NetworkDataset, kind: ModelKind, tau2: float, ci_level: float) -> ModelFit:
@@ -249,17 +302,39 @@ def estimate_tau2_dl(ds: NetworkDataset, fe: ModelFit) -> float:
     estimator is unbiased before truncation and reduces to the classical
     DerSimonian-Laird estimator for a single pairwise comparison. The trace
     term is sum_i w_i^2 x_i' Cov_FE x_i, with Cov_FE = (X'WX)^-1 taken from
-    ``fe``, the FE fit of the same dataset.
+    ``fe``, the FE fit of the same dataset. It overflows when a weight
+    exceeds about 1e154; that raises NumericError.
     """
     _require_fe(fe)
     x = ds.design
     df = _require_residual_df(ds, x.cols)
     w = ds.weights()
-    fitted_var = np.sum((x.matrix @ fe.cov) * x.matrix, axis=1)
-    denom = float(np.sum(w)) - float(np.sum(w * w * fitted_var))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.sum(w * w * _leverages(x, fe.cov)))
+    if not math.isfinite(trace):
+        raise NumericError(
+            "moment estimator trace term sum w_i^2 x_i' C x_i overflows: "
+            "an extreme weight 1/s_i^2 exceeds the float range when squared"
+        )
+    denom = float(np.sum(w)) - trace
     if denom <= 0:
         raise EstimationError("degenerate weight structure in moment estimator")
     return max(0.0, (q_total(ds, fe) - df) / denom)
+
+
+def _reml_values(grid: np.ndarray, ds: NetworkDataset) -> np.ndarray:
+    """l_R at every tau^2 of ``grid``: one stacked Gram, Cholesky and solve."""
+    x = ds.design
+    y = ds.effects()
+    sigma2 = ds.variances() + grid[:, None]
+    w = 1.0 / sigma2
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _gram(x, w)
+        xty = _xt(x, w * y)
+    fit = _gls_solve(gram, xty[..., None])
+    resid = y - _x_times(x, fit.solution[..., 0])
+    quad = np.sum(resid**2 / sigma2, axis=-1)
+    return -0.5 * (np.sum(np.log(sigma2), axis=-1) + fit.log_det + quad)
 
 
 def reml_objective(tau2: float, ds: NetworkDataset) -> float:
@@ -272,14 +347,7 @@ def reml_objective(tau2: float, ds: NetworkDataset) -> float:
     """
     if tau2 < 0:
         raise EstimationError("negative between-study variance")
-    x = ds.design
-    y = ds.effects()
-    sigma2 = ds.variances() + tau2
-    xw = x.matrix * (1.0 / sigma2)[:, None]
-    fit = _gls_solve(x.matrix, xw, xw.T @ y)
-    resid = y - x.matrix @ fit.solution
-    quad = float(np.sum(resid**2 / sigma2))
-    return -0.5 * (float(np.sum(np.log(sigma2))) + fit.log_det + quad)
+    return float(_reml_values(np.array([float(tau2)]), ds)[0])
 
 
 def _reml_newton_terms(tau2: float, ds: NetworkDataset):
@@ -291,13 +359,13 @@ def _reml_newton_terms(tau2: float, ds: NetworkDataset):
     * score       = 1/2 [ (Wr)'(Wr) - tr P ]
     * information = y' P^3 y - 1/2 tr P^2
 
-    tr P and tr P^2 come from the leverages x_i' C x_i, the row sums of
-    (XC) o X, and the p x p matrix K = (XC)' W^2 X; y' P^3 y is the weighted
-    residual sum of squares of a GLS fit of P y, done with XC. Extreme
-    weights can overflow w^2 and w^3, so the score or information may come
-    back non-finite, without a warning; the caller then bisects.
+    tr P and tr P^2 come from the leverages x_i' C x_i and from
+    tr((C L2)^2), where L2 = X'W^2X is the Laplacian at weights w^2;
+    y' P^3 y is the weighted residual sum of squares of a GLS fit of P y.
+    Extreme weights can overflow w^2 and w^3, so the score or information
+    may come back non-finite, without a warning; the caller then bisects.
     """
-    xm = ds.design.matrix
+    x = ds.design
     sigma2 = ds.variances() + tau2
     w = 1.0 / sigma2
     _, c, log_det, fitted = _wls(ds, sigma2)
@@ -306,12 +374,11 @@ def _reml_newton_terms(tau2: float, ds: NetworkDataset):
     value = -0.5 * (float(np.sum(np.log(sigma2))) + log_det + float(np.sum(py * resid)))
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = w * w
-        xc = xm @ c
-        lev = np.sum(xc * xm, axis=1)
+        lev = _leverages(x, c)
         tr_p = float(np.sum(w - w2 * lev))
         score = 0.5 * (float(np.sum(py * py)) - tr_p)
-        ppy = py - xc @ (xm.T @ (w * py))
-        k = (xc * w2[:, None]).T @ xm
+        ppy = py - _x_times(x, c @ _xt(x, w * py))
+        k = c @ _gram(x, w2)
         tr_p2 = float(np.sum(w2) - 2.0 * np.sum(w2 * w * lev) + np.sum(k * k.T))
         info = float(np.sum(w * ppy * ppy)) - 0.5 * tr_p2
     return value, score, info
@@ -325,7 +392,9 @@ def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
     spread exceeding the total observed spread by an order of magnitude.
 
     l_R is scanned at 0 and at 15 geometrically spaced points from
-    1e-2 median(s_i^2) to the upper bound. The scan starts from the median,
+    1e-2 median(s_i^2) to the upper bound, all 16 at once: one stacked
+    (16, p, p) Gram assembly, Cholesky factorization and solve, with the
+    values of ``reml_objective``. The scan starts from the median,
     not the smallest variance: below 1e-2 of most variances l_R is flat, and
     where one s_i^2 is tiny (say 1e-300) the rounding of that study's
     residual, about 1e-17, weighted by 1/(s_i^2 + tau2), swamps l_R at such
@@ -348,8 +417,8 @@ def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
     if not math.isfinite(upper):
         raise NumericError("REML search bound 10 var(y) + 10 max(s_i^2) overflows the float range")
     grid = np.concatenate(([0.0], np.geomspace(1e-2 * float(np.median(v)), upper, 15)))
-    values = [reml_objective(float(t), ds) for t in grid]
-    if not all(math.isfinite(f) for f in values):
+    values = _reml_values(grid, ds)
+    if not np.isfinite(values).all():
         raise NumericError("restricted likelihood is not finite on the tau^2 scan")
     best = int(np.argmax(values))
     t = float(grid[best])

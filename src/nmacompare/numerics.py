@@ -31,40 +31,53 @@ class NumericError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SpdSolveResult:
-    """Solution of A x = b for symmetric positive definite A, plus log det(A)."""
+    """Solution of A x = b for symmetric positive definite A, plus log det(A).
+
+    For a stack of k systems both fields carry a leading axis of length k.
+    """
 
     solution: np.ndarray
-    log_det: float
+    log_det: float | np.ndarray
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> SpdSolveResult:
     """Solve a symmetric positive definite system via Cholesky factorization.
 
     ``b`` may be a single right-hand side (1-D) or several stacked as columns.
+    ``a`` may also be a (k, p, p) stack of systems, each solved against its
+    own slice of a (k, p) or (k, p, r) ``b`` by one stacked factorization.
     log det(A) comes from the factor diagonal; the inverse is never formed.
 
     Raises NumericError if A is not square, has a NaN or infinite entry, is
     not symmetric within 1e-12 relative, or is not positive definite (the
     latter signals a rank-deficient network or degenerate variances upstream).
+    In a stack every slice is checked on its own, against its own scale.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise NumericError(f"matrix is not square: shape {a.shape}")
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    stacked = a.ndim == 3
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     # NaN or inf in any entry makes the scale non-finite; numpy's Cholesky
     # would factor such a matrix without complaint
-    if not math.isfinite(scale):
+    if not np.isfinite(scale).all():
         raise NumericError("invalid matrix entries: NaN or infinite")
-    if float(np.abs(a - a.T).max()) > 1e-12 * max(scale, 1e-300):
+    asymmetry = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asymmetry > 1e-12 * np.maximum(scale, 1e-300)):
         raise NumericError("matrix not symmetric")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NumericError("matrix not positive definite") from None
-    log_det = 2.0 * float(np.log(lower.diagonal()).sum())
-    solution = np.linalg.solve(lower.T, np.linalg.solve(lower, b))
-    return SpdSolveResult(solution, log_det)
+    log_det = 2.0 * np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum(axis=-1)
+    vector = b.ndim == a.ndim - 1
+    if vector:
+        b = b[..., None]
+    solution = np.linalg.solve(np.swapaxes(lower, -2, -1), np.linalg.solve(lower, b))
+    if vector:
+        solution = solution[..., 0]
+    return SpdSolveResult(solution, log_det if stacked else float(log_det))
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -70,12 +70,12 @@ ESCAPING_INPUTS = {
 }
 
 
-def _four_study_md(effects) -> str:
-    """JSON text of an MD network: two A-B then two B-C studies, every se 1."""
+def _four_study_md(effects, ses=(1, 1, 1, 1)) -> str:
+    """JSON text of an MD network: two A-B then two B-C studies, every se 1 by default."""
     pairs = (("A", "B"), ("A", "B"), ("B", "C"), ("B", "C"))
     return json.dumps({"measure": "MD", "studies": [
-        {"study_id": f"s{i}", "treat_a": a, "treat_b": b, "effect": y, "se": 1}
-        for i, ((a, b), y) in enumerate(zip(pairs, effects), start=1)
+        {"study_id": f"s{i}", "treat_a": a, "treat_b": b, "effect": y, "se": se}
+        for i, ((a, b), y, se) in enumerate(zip(pairs, effects, ses), start=1)
     ]})
 
 
@@ -83,6 +83,10 @@ def _four_study_md(effects) -> str:
 OVERFLOW_FE = _four_study_md([1e200, -1e200, 0.5, 0.7])
 # Consistent, so FE, DL and ME fit; var(y) in the REML search bound overflows.
 OVERFLOW_REML_BOUND = _four_study_md([1e160, 1e160, 2e160, 2e160])
+# Two A-B weights of 1e308 sum past the float maximum in X'WX.
+OVERFLOW_GRAM = _four_study_md([0.1, 0.2, 0.5, 0.7], ses=(1e-154, 1e-154, 1, 1))
+# One A-B weight of 1e300: X'WX is finite, w^2 in the DL trace term is not.
+OVERFLOW_DL_TRACE = _four_study_md([0.1, 0.2, 0.5, 0.7], ses=(1e-150, 1, 1, 1))
 
 
 @pytest.fixture(scope="session")

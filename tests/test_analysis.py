@@ -12,6 +12,7 @@ from nmacompare import (
     BatchRow,
     Classification,
     DatasetError,
+    DesignMatrix,
     EstimationError,
     NetworkDataset,
     ScreenResult,
@@ -23,6 +24,7 @@ from nmacompare import (
     compare_models,
     exclude_and_refit,
     leave_one_out,
+    load_dataset,
 )
 
 from nmacompare import analysis, models
@@ -117,6 +119,26 @@ class TestCompareModels:
         ds = make_dataset([("P", "A", 0.5, 0.2)])
         with pytest.raises(EstimationError, match="no residual degrees of freedom"):
             compare_models(ds)
+
+    @pytest.mark.parametrize("method", ["dl", "REML", None])
+    def test_tau_method_must_be_a_member(self, smoke, method):
+        """A string once ran REML silently; any non-member is now named in an error."""
+        with pytest.raises(EstimationError, match=f"unknown tau method {method!r}"):
+            compare_models(smoke, method)
+
+    def test_fits_never_build_the_dense_design_matrix(self, monkeypatch, corpus_dir):
+        ds = load_dataset(corpus_dir / "nsaid_pain_relief.json")
+        for method in TauMethod:
+            compare_models(ds, method)
+        assert "matrix" not in vars(ds.design)
+
+        def refuse(self):
+            raise AssertionError("dense design matrix built")
+
+        monkeypatch.setattr(DesignMatrix, "matrix", property(refuse))
+        for method in TauMethod:
+            leave_one_out(ds, method)
+            batch_run([corpus_dir / "smoke_alarm_interventions.json"], tau_method=method)
 
 
 class TestExcludeAndRefit:

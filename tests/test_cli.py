@@ -13,7 +13,14 @@ import pytest
 
 from nmacompare.cli import main
 
-from conftest import CORPUS_DIR, ESCAPING_INPUTS, OVERFLOW_FE, OVERFLOW_REML_BOUND
+from conftest import (
+    CORPUS_DIR,
+    ESCAPING_INPUTS,
+    OVERFLOW_DL_TRACE,
+    OVERFLOW_FE,
+    OVERFLOW_GRAM,
+    OVERFLOW_REML_BOUND,
+)
 
 NSAID_CSV = str(CORPUS_DIR / "nsaid_pain_relief.csv")
 NSAID_JSON = str(CORPUS_DIR / "nsaid_pain_relief.json")
@@ -88,6 +95,25 @@ def test_reml_bound_overflow_exits_1_naming_it(capsys, tmp_path):
     code, out, err = run(capsys, "compare", "--tau-method", "reml", str(path))
     assert (code, out) == (1, "")
     assert err == "error: REML search bound 10 var(y) + 10 max(s_i^2) overflows the float range\n"
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["compare", "--tau-method", "reml"], ["qdecomp"]])
+def test_gram_overflow_exits_1_naming_it(capsys, tmp_path, argv):
+    """se = 1e-154 twice: X'WX overflows; once reported as a rank-deficient design."""
+    path = tmp_path / "tiny_se.json"
+    path.write_text(OVERFLOW_GRAM)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: X'WX overflows") and err.count("\n") == 1
+
+
+def test_dl_trace_overflow_exits_1_naming_it(capsys, tmp_path):
+    """se = 1e-150: w^2 overflows in the DL trace term; once a degenerate weight structure."""
+    path = tmp_path / "tiny_se.json"
+    path.write_text(OVERFLOW_DL_TRACE)
+    code, out, err = run(capsys, "compare", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: moment estimator trace term") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", ["validate-dir", "out-in-file", "out-dir-is-file", "csv-is-dir"])

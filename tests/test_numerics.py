@@ -67,6 +67,45 @@ class TestSolveSpd:
             solve_spd(np.array([[1.0, math.inf], [math.inf, 1.0]]), np.ones(2))
 
 
+def _spd_stack(k: int, p: int, seed: int) -> np.ndarray:
+    m = np.random.default_rng(seed).normal(size=(k, p, p))
+    return m @ np.swapaxes(m, 1, 2) + np.eye(p)
+
+
+class TestSolveSpdStack:
+    def test_matches_slice_by_slice(self):
+        a = _spd_stack(5, 4, seed=6)
+        rng = np.random.default_rng(7)
+        for b in (rng.normal(size=(5, 4)), rng.normal(size=(5, 4, 3))):
+            result = solve_spd(a, b)
+            assert result.solution.shape == b.shape
+            assert result.log_det.shape == (5,)
+            for j in range(5):
+                one = solve_spd(a[j], b[j])
+                np.testing.assert_allclose(result.solution[j], one.solution, rtol=1e-12)
+                assert result.log_det[j] == pytest.approx(one.log_det, rel=1e-12)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[math.nan, 0.0], [0.0, 1.0]]), "invalid matrix entries"),
+        (np.array([[1.0, math.inf], [math.inf, 1.0]]), "invalid matrix entries"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive definite"),
+    ])
+    def test_one_bad_slice_raises_as_in_2d(self, bad, message):
+        with pytest.raises(NumericError, match=message):
+            solve_spd(bad, np.ones(2))
+        a = _spd_stack(4, 2, seed=8)
+        a[2] = bad
+        with pytest.raises(NumericError, match=message):
+            solve_spd(a, np.ones((4, 2)))
+
+    def test_symmetry_is_relative_to_each_slice(self):
+        """A 1e-3 asymmetry is caught next to a slice of scale 1e10."""
+        a = np.stack([1e10 * np.eye(2), np.array([[1.0, 1e-3], [0.0, 1.0]])])
+        with pytest.raises(NumericError, match="not symmetric"):
+            solve_spd(a, np.ones((2, 2)))
+
+
 class TestChiSquareSf:
     def test_reference_values(self):
         assert chi_square_sf(82.25, 23) == pytest.approx(1.37e-8, rel=0.02)
