@@ -27,6 +27,7 @@ from .analysis import (
 from .dataset import DatasetError, NetworkDataset, group_designs, load_dataset
 from .heterogeneity import q_decompose
 from .models import fit_fe, fit_me
+from .numerics import single_blas_thread
 from .report import fit_report, forest_data, network_data, per_study_csv, render_svg
 
 _EXIT_OK = 0
@@ -264,6 +265,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+@single_blas_thread
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:

@@ -1,4 +1,5 @@
-"""Small numerical kernels: SPD solves, chi-square tails, quantiles, 1-D search.
+"""Small numerical kernels: SPD solves, chi-square tails, quantiles, 1-D search,
+and the one-thread BLAS limit the command line runs under.
 
 A Cholesky solve, the exact chi-square tail for integer df and the inverse
 normal CDF, built on numpy and the standard library behind the narrow surface
@@ -8,6 +9,8 @@ one place.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -27,6 +30,53 @@ __all__ = [
 
 class NumericError(ArithmeticError):
     """A numerical precondition failed (non-SPD matrix, bad domain, bad bracket)."""
+
+
+@functools.cache
+def _openblas_thread_setter() -> Callable[[int], int] | None:
+    """OpenBLAS's ``openblas_set_num_threads_local``, or None where numpy has no such BLAS.
+
+    It is looked up, on first use, through numpy's linear-algebra extension,
+    whose dependencies include the BLAS library numpy loaded. It sets the
+    number of BLAS threads for calls from the calling thread only and
+    returns the previous number (OpenBLAS 0.3.27 and later).
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+def single_blas_thread(func):
+    """Run ``func`` with the BLAS and LAPACK calls of the calling thread on one thread.
+
+    A network's Gram matrix is rarely more than a few hundred wide. At that
+    size OpenBLAS splits a factorization over its worker threads, and a worker
+    keeps spinning for about 0.1 s after the call returns. Where it spins on
+    the caller's CPU, or another process needs the other CPU, the Python
+    code that follows slows down, so a command's time swings with the
+    scheduling and the load on the machine. One thread takes that swing
+    out, and the results no longer depend on the thread count. The ``nma``
+    command runs under it; a no-op when numpy's BLAS is not OpenBLAS.
+    """
+
+    @functools.wraps(func)
+    def limited(*args, **kwargs):
+        set_threads = _openblas_thread_setter()
+        if set_threads is None:
+            return func(*args, **kwargs)
+        previous = set_threads(1)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            set_threads(previous)
+
+    return limited
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from nmacompare import (
     NetworkDataset,
     fit_fe,
     load_dataset,
+    numerics,
     q_decompose,
 )
 
@@ -261,3 +262,25 @@ def classical_cochran_q(rows) -> float:
         y = np.array([y for y, _ in members])
         total += float(np.sum(w * y**2) - np.sum(w * y) ** 2 / np.sum(w))
     return total
+
+
+def blas_threads() -> int:
+    """The BLAS thread count of the calling thread, read by setting it and back."""
+    set_threads = numerics._openblas_thread_setter()
+    current = set_threads(1)
+    set_threads(current)
+    return current
+
+
+needs_openblas_threads = pytest.mark.skipif(
+    numerics._openblas_thread_setter() is None, reason="numpy's BLAS is not OpenBLAS 0.3.27+"
+)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Two BLAS threads for the calling thread during the test, then the previous count."""
+    set_threads = numerics._openblas_thread_setter()
+    previous = set_threads(2)
+    yield
+    set_threads(previous)

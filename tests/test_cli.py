@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nmacompare.cli import main
@@ -20,6 +21,8 @@ from conftest import (
     OVERFLOW_FE,
     OVERFLOW_GRAM,
     OVERFLOW_REML_BOUND,
+    blas_threads,
+    needs_openblas_threads,
 )
 
 NSAID_CSV = str(CORPUS_DIR / "nsaid_pain_relief.csv")
@@ -114,6 +117,24 @@ def test_dl_trace_overflow_exits_1_naming_it(capsys, tmp_path):
     code, out, err = run(capsys, "compare", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: moment estimator trace term") and err.count("\n") == 1
+
+
+@needs_openblas_threads
+@pytest.mark.usefixtures("two_blas_threads")
+def test_commands_factor_on_one_blas_thread(capsys, monkeypatch):
+    """Every Cholesky factorization of a command runs on one BLAS thread; the count is restored."""
+    seen = []
+    cholesky = np.linalg.cholesky
+
+    def probe(a):
+        seen.append(blas_threads())
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", probe)
+    code, _, _ = run(capsys, "compare", NSAID_JSON, "--tau-method", "reml")
+    assert code == 0
+    assert len(seen) > 3 and set(seen) == {1}
+    assert blas_threads() == 2
 
 
 @pytest.mark.parametrize("case", ["validate-dir", "out-in-file", "out-dir-is-file", "csv-is-dir"])

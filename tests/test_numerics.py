@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from nmacompare import NumericError, chi_square_sf, minimize_scalar, normal_quantile, solve_spd
+from nmacompare import NumericError, chi_square_sf, minimize_scalar, normal_quantile, numerics, solve_spd
+
+from conftest import blas_threads, needs_openblas_threads
 
 
 class TestSolveSpd:
@@ -104,6 +106,25 @@ class TestSolveSpdStack:
         a = np.stack([1e10 * np.eye(2), np.array([[1.0, 1e-3], [0.0, 1.0]])])
         with pytest.raises(NumericError, match="not symmetric"):
             solve_spd(a, np.ones((2, 2)))
+
+
+@needs_openblas_threads
+@pytest.mark.usefixtures("two_blas_threads")
+class TestSingleBlasThread:
+    def test_one_thread_inside_then_restored(self):
+        @numerics.single_blas_thread
+        def factor(a):
+            return blas_threads(), solve_spd(a, np.ones(3)).solution
+
+        threads, solution = factor(np.eye(3))
+        assert threads == 1
+        assert solution.tolist() == [1.0, 1.0, 1.0]
+        assert blas_threads() == 2
+
+    def test_restored_after_an_error(self):
+        with pytest.raises(NumericError, match="not positive definite"):
+            numerics.single_blas_thread(solve_spd)(-np.eye(3), np.ones(3))
+        assert blas_threads() == 2
 
 
 class TestChiSquareSf:
