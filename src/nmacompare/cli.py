@@ -118,15 +118,14 @@ def _load(args: argparse.Namespace) -> NetworkDataset:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        args.out.write_text(text, encoding="utf-8")
 
 
 def _emit_json(args: argparse.Namespace, doc: dict) -> None:
-    if getattr(args, "pretty", False):
+    if args.pretty:
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         text = json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
@@ -251,17 +250,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     ds = _load(args)
     if args.kind == "network":
-        svg = render_svg(network_data(ds), {"title": ds.name})
+        svg = render_svg(network_data(ds), title=ds.name)
     else:
         if not args.target:
             raise DatasetError("forest plots need --target <treatment>")
         report = compare_models(ds, TauMethod.parse(args.tau_method), ci_level=args.ci_level)
         rows = forest_data(ds, report.re, report.me, report.q, args.target)
-        svg = render_svg(rows, {"title": f"{ds.name}: treatments vs {args.target}"})
-    if args.out is None:
-        sys.stdout.write(svg)
-    else:
-        args.out.write_text(svg, encoding="utf-8")
+        svg = render_svg(rows, title=f"{ds.name}: treatments vs {args.target}")
+    _emit(args, svg)
     return _EXIT_OK
 
 

@@ -11,7 +11,6 @@ are estimable against a common reference treatment.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -62,7 +61,11 @@ class EffectMeasure(Enum):
 
 @dataclass(frozen=True)
 class ContrastObservation:
-    """One two-arm study; ``effect`` estimates ``treat_b`` relative to ``treat_a``."""
+    """One two-arm study; ``effect`` estimates ``treat_b`` relative to ``treat_a``.
+
+    The one place where ingestion coerces: labels to stripped strings,
+    ``effect`` and ``se`` to floats.
+    """
 
     study_id: str
     treat_a: str
@@ -73,25 +76,30 @@ class ContrastObservation:
     def __post_init__(self) -> None:
         for attr in ("study_id", "treat_a", "treat_b"):
             object.__setattr__(self, attr, str(getattr(self, attr)).strip())
-        object.__setattr__(self, "effect", float(self.effect))
-        object.__setattr__(self, "se", float(self.se))
+        try:
+            effect, se = _number(self.effect, "effect", float), _number(self.se, "se", float)
+        except OverflowError:
+            # an integer beyond the float range
+            raise DatasetError("effect or se is too large for a floating-point number") from None
+        object.__setattr__(self, "effect", effect)
+        object.__setattr__(self, "se", se)
         if not self.treat_a or not self.treat_b:
-            raise DatasetError(f"study {self.study_id!r}: empty treatment label")
-        if self.treat_a == self.treat_b:
-            raise DatasetError(
-                f"study {self.study_id!r}: treatments are identical ({self.treat_a!r})"
-            )
-        if not math.isfinite(self.effect):
-            raise DatasetError(f"study {self.study_id!r}: non-finite effect")
-        if not math.isfinite(self.se) or self.se <= 0:
-            raise DatasetError(f"study {self.study_id!r}: non-positive standard error")
-        # The fits use se^2 and 1/se^2; both must be positive finite numbers.
-        variance = self.se * self.se
-        if not (0.0 < variance < math.inf and 1.0 / variance < math.inf):
-            raise DatasetError(
-                f"study {self.study_id!r}: standard error {self.se!r} gives a variance se^2 "
+            fault = "empty treatment label"
+        elif self.treat_a == self.treat_b:
+            fault = f"treatments are identical ({self.treat_a!r})"
+        elif not math.isfinite(effect):
+            fault = "non-finite effect"
+        elif not math.isfinite(se) or se <= 0:
+            fault = "non-positive standard error"
+        elif not (0.0 < se * se < math.inf and 1.0 / (se * se) < math.inf):
+            # The fits use se^2 and 1/se^2; both must be positive finite numbers.
+            fault = (
+                f"standard error {se!r} gives a variance se^2 "
                 "or a weight 1/se^2 that is not a positive finite number"
             )
+        else:
+            return
+        raise _located(f"study {self.study_id!r}", fault)
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -326,40 +334,29 @@ def build_design_matrix(ds: NetworkDataset) -> DesignMatrix:
 # ---------------------------------------------------------------------------
 
 def derive_contrast_binary(
-    events_a: int,
-    total_a: int,
-    events_b: int,
-    total_b: int,
-    measure: EffectMeasure,
-    correction: float = 0.5,
+    events_a: int, total_a: int, events_b: int, total_b: int, measure: EffectMeasure
 ) -> tuple[float, float]:
     """Effect and standard error of arm b versus arm a from a 2x2 table.
 
-    ``correction`` is added to all four cells of the study's table if and only
-    if any cell is zero. Returns (log odds ratio, se) or (log risk ratio, se).
+    0.5 is added to all four cells of the study's table if and only if any
+    cell is zero, so every cell is positive. Returns (log odds ratio, se) or
+    (log risk ratio, se).
     """
     for label, events, total in (("a", events_a, total_a), ("b", events_b, total_b)):
         if total < 1:
             raise DatasetError(f"arm {label}: total must be at least 1")
         if events < 0 or events > total:
             raise DatasetError(f"arm {label}: events outside [0, total]")
-    if correction < 0:
-        raise DatasetError("negative zero-cell correction")
 
     try:
-        a_e, a_n = float(events_a), float(total_a - events_a)
-        b_e, b_n = float(events_b), float(total_b - events_b)
+        cells = [float(n) for n in (events_a, total_a - events_a, events_b, total_b - events_b)]
     except OverflowError:
         raise DatasetError("counts too large for floating-point arithmetic") from None
-    if 0.0 in (a_e, a_n, b_e, b_n):
-        a_e += correction
-        a_n += correction
-        b_e += correction
-        b_n += correction
+    if 0.0 in cells:
+        cells = [c + 0.5 for c in cells]
+    a_e, a_n, b_e, b_n = cells
 
     if measure is EffectMeasure.LOG_OR:
-        if min(a_e, a_n, b_e, b_n) <= 0:
-            raise DatasetError("degenerate 2x2 table")
         odds_ratio = b_e * a_n / (a_e * b_n)
         if not 0.0 < odds_ratio < math.inf:
             raise DatasetError("counts too large for floating-point arithmetic")
@@ -367,8 +364,6 @@ def derive_contrast_binary(
         se = math.sqrt(1 / a_e + 1 / a_n + 1 / b_e + 1 / b_n)
     elif measure is EffectMeasure.LOG_RR:
         na, nb = a_e + a_n, b_e + b_n
-        if min(a_e, b_e) <= 0:
-            raise DatasetError("degenerate 2x2 table")
         effect = math.log((b_e / nb) / (a_e / na))
         se = math.sqrt(1 / b_e - 1 / nb + 1 / a_e - 1 / na)
     else:
@@ -405,39 +400,19 @@ def parse_dataset(
     measure: EffectMeasure | str | None = None,
     reference: str | None = None,
     name: str | None = None,
-    correction: float = 0.5,
 ) -> NetworkDataset:
     """Parse a dataset from CSV or JSON content.
 
     CSV variants are recognized by their header: contrast-level rows
     (study_id,treat_a,treat_b,effect,se), binary arm-level rows
-    (study_id,treatment,events,total; exactly two rows per study) or
-    continuous arm-level rows (study_id,treatment,mean,se). CSV input needs
-    the effect measure supplied by the caller; JSON carries it in the file.
-    Explicit ``measure``/``reference``/``name`` arguments override file values.
+    (study_id,treatment,events,total; exactly two rows per study, 0.5 added
+    to every cell of a table with a zero cell) or continuous arm-level rows
+    (study_id,treatment,mean,se). CSV input needs the effect measure
+    supplied by the caller; JSON carries it in the file. Explicit
+    ``measure``/``reference``/``name`` arguments override file values; the
+    name is the ``name`` argument, then the JSON ``name``, then "dataset".
     """
-    if isinstance(source, (bytes, bytearray)):
-        try:
-            text = bytes(source).decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"input is not valid UTF-8: {exc}") from None
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8-sig") if isinstance(raw, (bytes, bytearray)) else str(raw)
-
-    if isinstance(measure, str):
-        measure = EffectMeasure.parse(measure)
-
-    fmt_key = fmt.strip().lower()
-    if fmt_key == "json":
-        return _parse_json(text, measure=measure, reference=reference, name=name)
-    if fmt_key == "csv":
-        return _parse_csv(
-            text, measure=measure, reference=reference, name=name, correction=correction
-        )
-    raise DatasetError(f"unknown dataset format {fmt!r} (expected csv or json)")
+    return _build(source, fmt, measure, reference, name, "dataset")
 
 
 def load_dataset(
@@ -453,40 +428,67 @@ def load_dataset(
     a JSON file, then the file stem.
     """
     path = Path(path)
-    fmt = "json" if path.suffix.lower() == ".json" else "csv"
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
-    ds = parse_dataset(data, fmt, measure=measure, reference=reference, name=name)
-    if name is None and ds.name == "dataset":
-        ds = dataclasses.replace(ds, name=path.stem)
-    return ds
+    fmt = "json" if path.suffix.lower() == ".json" else "csv"
+    # an empty name argument falls back to "dataset", as in parse_dataset
+    return _build(data, fmt, measure, reference, name, path.stem if name is None else "dataset")
 
 
-def _number_field(raw: str, row: int, column: str, kind: type) -> float | int:
-    """Parse a CSV cell with ``kind`` (float or int); the error quotes at most 40 characters."""
+def _build(source, fmt, measure, reference, name, default_name) -> NetworkDataset:
+    """Decode, parse and validate ``source``: the one ``NetworkDataset`` construction."""
+    if not isinstance(source, (bytes, bytearray, str)):
+        source = source.read()
+    if isinstance(source, str):
+        text = source
+    else:
+        try:
+            text = bytes(source).decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"input is not valid UTF-8: {exc}") from None
+
+    if isinstance(measure, str):
+        measure = EffectMeasure.parse(measure)
+
+    fmt_key = fmt.strip().lower()
+    if fmt_key not in ("csv", "json"):
+        raise DatasetError(f"unknown dataset format {fmt!r} (expected csv or json)")
+    parse = _parse_json if fmt_key == "json" else _parse_csv
+    measure, studies, file_name, file_reference = parse(text, measure)
+    return NetworkDataset(
+        name or file_name or default_name,
+        measure,
+        tuple(studies),
+        file_reference if reference is None else reference,
+    )
+
+
+def _located(where: str, fault: object) -> DatasetError:
+    """The error ``fault`` (a message or an exception) prefixed by ``where``."""
+    return DatasetError(f"{where}: {fault}")
+
+
+def _number(raw, column: str, kind: type) -> float | int:
+    """``kind(raw)`` for float or int; the error quotes at most 40 characters."""
     try:
         return kind(raw)
     except ValueError:
-        text = raw.strip()
+        text = str(raw).strip()
         shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
         if (text[1:] if text.startswith(("+", "-")) else text).isdecimal():
             raise DatasetError(
-                f"row {row}: {column} {shown} has {len(text)} characters, "
+                f"{column} {shown} has {len(text)} characters, "
                 "more digits than Python converts to an integer"
             ) from None
-        raise DatasetError(f"row {row}: non-numeric {column} {shown}") from None
+        raise DatasetError(f"non-numeric {column} {shown}") from None
 
 
 def _parse_csv(
-    text: str,
-    *,
-    measure: EffectMeasure | None,
-    reference: str | None,
-    name: str | None,
-    correction: float,
-) -> NetworkDataset:
+    text: str, measure: EffectMeasure | None
+) -> tuple[EffectMeasure, list[ContrastObservation], str, str]:
+    """Measure and studies of a CSV dataset; CSV has no name or reference ("")."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [row for row in reader if any(cell.strip() for cell in row)]
@@ -502,76 +504,58 @@ def _parse_csv(
             raise DatasetError("effect measure required for contrast CSV input")
         studies = []
         for i, row in enumerate(body, start=1):
-            if len(row) != 5:
-                raise DatasetError(f"row {i}: expected 5 fields, got {len(row)}")
-            study_id = row[0].strip() or f"row{i}"
-            effect = _number_field(row[3], i, "effect", float)
-            se = _number_field(row[4], i, "se", float)
             try:
-                studies.append(ContrastObservation(study_id, row[1], row[2], effect, se))
+                if len(row) != 5:
+                    raise DatasetError(f"expected 5 fields, got {len(row)}")
+                studies.append(ContrastObservation(row[0].strip() or f"row{i}", *row[1:]))
             except DatasetError as exc:
-                raise DatasetError(f"row {i}: {exc}") from None
-        return NetworkDataset(name or "dataset", measure, tuple(studies), reference or "")
-
+                raise _located(f"row {i}", exc) from None
+        return measure, studies, "", ""
+    # arm-level rows, two per study: the header picks how the two value
+    # columns parse and how (a1, a2, b1, b2) become an effect and its se
     if header == _ARM_BINARY_HEADER:
         if measure is None:
             raise DatasetError("effect measure required for arm-level CSV input")
-        arms = _collect_arms(body, kind=int, columns=("events", "total"))
-        studies = []
-        for study_id, ((treat_a, ea, na), (treat_b, eb, nb)) in arms.items():
-            try:
-                effect, se = derive_contrast_binary(ea, na, eb, nb, measure, correction)
-                studies.append(ContrastObservation(study_id, treat_a, treat_b, effect, se))
-            except DatasetError as exc:
-                raise DatasetError(f"study {study_id!r}: {exc}") from None
-        return NetworkDataset(name or "dataset", measure, tuple(studies), reference or "")
-
-    if header == _ARM_CONTINUOUS_HEADER:
+        kind, derive = int, functools.partial(derive_contrast_binary, measure=measure)
+    elif header == _ARM_CONTINUOUS_HEADER:
         if measure is not None and measure is not EffectMeasure.MD:
             raise DatasetError("continuous arm data implies measure MD")
-        arms = _collect_arms(body, kind=float, columns=("mean", "se"))
-        studies = []
-        for study_id, ((treat_a, ma, sa), (treat_b, mb, sb)) in arms.items():
-            try:
-                effect, se = derive_contrast_continuous(ma, sa, mb, sb)
-                studies.append(ContrastObservation(study_id, treat_a, treat_b, effect, se))
-            except DatasetError as exc:
-                raise DatasetError(f"study {study_id!r}: {exc}") from None
-        return NetworkDataset(name or "dataset", EffectMeasure.MD, tuple(studies), reference or "")
-
-    raise DatasetError(
-        "unrecognized CSV header: expected "
-        + ", ".join(
-            "/".join(h) for h in (_CONTRAST_HEADER, _ARM_BINARY_HEADER, _ARM_CONTINUOUS_HEADER)
+        measure, kind, derive = EffectMeasure.MD, float, derive_contrast_continuous
+    else:
+        raise DatasetError(
+            "unrecognized CSV header: expected "
+            + ", ".join(
+                "/".join(h) for h in (_CONTRAST_HEADER, _ARM_BINARY_HEADER, _ARM_CONTINUOUS_HEADER)
+            )
         )
-    )
-
-
-def _collect_arms(body, kind, columns):
-    """Group arm-level rows by study id, preserving file order; two rows per study."""
-    arms: dict[str, list[tuple[str, float, float]]] = {}
+    arms: dict[str, list[tuple[str, float | int, float | int]]] = {}
     for i, row in enumerate(body, start=1):
-        if len(row) != 4:
-            raise DatasetError(f"row {i}: expected 4 fields, got {len(row)}")
-        study_id = row[0].strip()
-        if not study_id:
-            raise DatasetError(f"row {i}: arm-level rows need an explicit study_id")
-        v1 = _number_field(row[2], i, columns[0], kind)
-        v2 = _number_field(row[3], i, columns[1], kind)
-        arms.setdefault(study_id, []).append((row[1].strip(), v1, v2))
+        try:
+            if len(row) != 4:
+                raise DatasetError(f"expected 4 fields, got {len(row)}")
+            study_id = row[0].strip()
+            if not study_id:
+                raise DatasetError("arm-level rows need an explicit study_id")
+            values = (_number(row[2], header[2], kind), _number(row[3], header[3], kind))
+        except DatasetError as exc:
+            raise _located(f"row {i}", exc) from None
+        arms.setdefault(study_id, []).append((row[1], *values))
     for study_id, rows in arms.items():
         if len(rows) != 2:
-            raise DatasetError(f"study {study_id!r}: expected exactly 2 arms, got {len(rows)}")
-    return arms
+            raise _located(f"study {study_id!r}", f"expected exactly 2 arms, got {len(rows)}")
+    studies = []
+    for study_id, ((treat_a, a1, a2), (treat_b, b1, b2)) in arms.items():
+        try:
+            studies.append(ContrastObservation(study_id, treat_a, treat_b, *derive(a1, a2, b1, b2)))
+        except DatasetError as exc:
+            raise _located(f"study {study_id!r}", exc) from None
+    return measure, studies, "", ""
 
 
 def _parse_json(
-    text: str,
-    *,
-    measure: EffectMeasure | None,
-    reference: str | None,
-    name: str | None,
-) -> NetworkDataset:
+    text: str, measure: EffectMeasure | None
+) -> tuple[EffectMeasure, list[ContrastObservation], str, str]:
+    """Measure, studies, name and reference of a JSON dataset ("" for a missing field)."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -594,39 +578,23 @@ def _parse_json(
         measure = EffectMeasure.parse(doc["measure"])
     studies = []
     for i, entry in enumerate(raw_studies, start=1):
-        if not isinstance(entry, dict):
-            raise DatasetError(f"study {i}: expected an object")
-        missing = [k for k in ("treat_a", "treat_b", "effect", "se") if k not in entry]
-        if missing:
-            raise DatasetError(f"study {i}: missing field(s) {', '.join(missing)}")
-        # json.loads yields exact types, so these checks also reject bools
-        for key in ("effect", "se"):
-            if type(entry[key]) not in (int, float):
-                raise DatasetError(f"study {i}: field {key!r} must be a number")
-        for key in ("study_id", "treat_a", "treat_b"):
-            if type(entry.get(key, "")) not in (str, int, float):
-                raise DatasetError(f"study {i}: field {key!r} must be a string or a number")
-        study_id = str(entry.get("study_id") or f"row{i}")
         try:
-            studies.append(
-                ContrastObservation(
-                    study_id,
-                    str(entry["treat_a"]),
-                    str(entry["treat_b"]),
-                    float(entry["effect"]),
-                    float(entry["se"]),
-                )
-            )
+            if not isinstance(entry, dict):
+                raise DatasetError("expected an object")
+            missing = [k for k in ("treat_a", "treat_b", "effect", "se") if k not in entry]
+            if missing:
+                raise DatasetError(f"missing field(s) {', '.join(missing)}")
+            # json.loads yields exact types, so these checks also reject bools
+            for key in ("effect", "se"):
+                if type(entry[key]) not in (int, float):
+                    raise DatasetError(f"field {key!r} must be a number")
+            for key in ("study_id", "treat_a", "treat_b"):
+                if type(entry.get(key, "")) not in (str, int, float):
+                    raise DatasetError(f"field {key!r} must be a string or a number")
+            studies.append(ContrastObservation(
+                entry.get("study_id") or f"row{i}",
+                entry["treat_a"], entry["treat_b"], entry["effect"], entry["se"],
+            ))
         except DatasetError as exc:
-            raise DatasetError(f"study {i}: {exc}") from None
-        except OverflowError:
-            # an integer literal beyond the float range
-            raise DatasetError(
-                f"study {i}: effect or se is too large for a floating-point number"
-            ) from None
-    return NetworkDataset(
-        name or str(doc.get("name") or "dataset"),
-        measure,
-        tuple(studies),
-        reference if reference is not None else str(doc.get("reference") or ""),
-    )
+            raise _located(f"study {i}", exc) from None
+    return measure, studies, str(doc.get("name") or ""), str(doc.get("reference") or "")

@@ -384,7 +384,7 @@ def _reml_newton_terms(tau2: float, ds: NetworkDataset):
     return value, score, info
 
 
-def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
+def estimate_tau2_reml(ds: NetworkDataset) -> float:
     """REML between-study variance: maximizes the restricted likelihood.
 
     The search bracket [0, 10 var(y) + 10 max(s_i^2)] contains the maximizer
@@ -405,9 +405,11 @@ def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
     in Numerical Recipes' rtsafe, a bisection step replaces any Newton step
     that would leave the bracket or fail to halve the previous step, or whose
     curvature is not finite and positive. The refinement stops once a step
-    is at most tol * (1 + tau2), and the refined root is returned if its l_R
+    is at most 1e-10 (1 + tau2), and the refined root is returned if its l_R
     is at least that of the best scan point. When the best scan point is 0
-    and the score there is not positive, the estimate is exactly 0.
+    and the score there is not positive, the estimate is exactly 0. When the
+    best scan point is the upper bound and l_R still rises there, the
+    maximizer lies beyond the bracket and ``EstimationError`` is raised.
     """
     _require_residual_df(ds, ds.design.cols)
     y = ds.effects()
@@ -425,7 +427,9 @@ def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
     _, score, info = _reml_newton_terms(t, ds)
     if score > 0:
         if best == len(grid) - 1:
-            return t
+            raise EstimationError(
+                f"REML maximizer lies beyond the search bound 10 var(y) + 10 max(s_i^2) = {upper!r}"
+            )
         lo, hi = t, float(grid[best + 1])
     elif best == 0:
         return 0.0
@@ -444,6 +448,6 @@ def estimate_tau2_reml(ds: NetworkDataset, tol: float = 1e-10) -> float:
             lo = t
         else:
             hi = t
-        if abs(step) <= tol * (1.0 + t) or score == 0:
+        if abs(step) <= 1e-10 * (1.0 + t) or score == 0:
             break
     return t if value >= values[best] else float(grid[best])

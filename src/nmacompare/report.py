@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .analysis import ComparisonReport, format_csv
@@ -156,21 +156,35 @@ def _fmt(value: float) -> str:
     return format(value, ".2f")
 
 
-def render_svg(
-    data: Sequence[ForestRow] | NetworkGraph, options: Mapping[str, object] | None = None
-) -> str:
-    """Render forest rows or a network graph as an SVG 1.1 document."""
-    options = dict(options or {})
+def render_svg(data: Sequence[ForestRow] | NetworkGraph, title: str = "") -> str:
+    """SVG 1.1 of forest rows (860 px wide) or a network graph (600 px square),
+    with a non-empty ``title`` centred above the plot."""
     if isinstance(data, NetworkGraph):
-        return _render_network(data, options)
+        return _render_network(data, title)
     rows = list(data)
     if not rows:
         raise DatasetError("nothing to render")
-    return _render_forest(rows, options)
+    return _render_forest(rows, title)
 
 
-def _render_forest(rows: list[ForestRow], options: Mapping[str, object]) -> str:
-    width = int(options.get("width", 860))
+def _svg_start(width: int, height: int, title: str) -> list[str]:
+    """XML declaration, svg element, white background and, if not empty, the centred title."""
+    parts = [
+        _SVG_HEADER,
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="15">{escape(title)}</text>\n'
+        )
+    return parts
+
+
+def _render_forest(rows: list[ForestRow], title: str) -> str:
+    width = 860
     row_h = 24
     left, right, top, bottom = 250, 100, 50, 50
     height = top + bottom + row_h * len(rows)
@@ -194,18 +208,7 @@ def _render_forest(rows: list[ForestRow], options: Mapping[str, object]) -> str:
             groups.append(r.group)
     color = {g: _PALETTE[i % len(_PALETTE)] for i, g in enumerate(groups)}
 
-    parts = [
-        _SVG_HEADER,
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n',
-    ]
-    title = str(options.get("title", ""))
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>\n'
-        )
+    parts = _svg_start(width, height, title)
     if lo < 0.0 < hi:
         x0 = _fmt(sx(0.0))
         parts.append(
@@ -272,12 +275,12 @@ def _render_forest(rows: list[ForestRow], options: Mapping[str, object]) -> str:
     return "".join(parts)
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    """A handful of round tick positions inside [lo, hi]."""
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions inside [lo, hi]; the span holds at most six tick steps."""
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / 6))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= 6:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -289,8 +292,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return ticks
 
 
-def _render_network(graph: NetworkGraph, options: Mapping[str, object]) -> str:
-    size = int(options.get("size", 600))
+def _render_network(graph: NetworkGraph, title: str) -> str:
+    size = 600
     cx = cy = size / 2.0
     radius = size / 2.0 - 80.0
     n = len(graph.nodes)
@@ -300,18 +303,7 @@ def _render_network(graph: NetworkGraph, options: Mapping[str, object]) -> str:
         pos[node] = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
     max_count = max((e.study_count for e in graph.edges), default=1)
 
-    parts = [
-        _SVG_HEADER,
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n',
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>\n',
-    ]
-    title = str(options.get("title", ""))
-    if title:
-        parts.append(
-            f'<text x="{_fmt(size / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>\n'
-        )
+    parts = _svg_start(size, size, title)
     for edge in graph.edges:
         (x1, y1), (x2, y2) = pos[edge.pair[0]], pos[edge.pair[1]]
         width = 10.0 * edge.study_count / max_count

@@ -71,13 +71,18 @@ ESCAPING_INPUTS = {
 }
 
 
+def _md_network(rows) -> str:
+    """JSON text of an MD network from (treat_a, treat_b, effect, se) rows, ids s1, s2, ..."""
+    return json.dumps({"measure": "MD", "studies": [
+        {"study_id": f"s{i}", "treat_a": a, "treat_b": b, "effect": y, "se": se}
+        for i, (a, b, y, se) in enumerate(rows, start=1)
+    ]})
+
+
 def _four_study_md(effects, ses=(1, 1, 1, 1)) -> str:
     """JSON text of an MD network: two A-B then two B-C studies, every se 1 by default."""
     pairs = (("A", "B"), ("A", "B"), ("B", "C"), ("B", "C"))
-    return json.dumps({"measure": "MD", "studies": [
-        {"study_id": f"s{i}", "treat_a": a, "treat_b": b, "effect": y, "se": se}
-        for i, ((a, b), y, se) in enumerate(zip(pairs, effects, ses), start=1)
-    ]})
+    return _md_network([(a, b, y, se) for (a, b), y, se in zip(pairs, effects, ses)])
 
 
 # The FE residuals are +-1e200, so Q_total and the FE log-likelihood overflow.
@@ -88,6 +93,14 @@ OVERFLOW_REML_BOUND = _four_study_md([1e160, 1e160, 2e160, 2e160])
 OVERFLOW_GRAM = _four_study_md([0.1, 0.2, 0.5, 0.7], ses=(1e-154, 1e-154, 1, 1))
 # One A-B weight of 1e300: X'WX is finite, w^2 in the DL trace term is not.
 OVERFLOW_DL_TRACE = _four_study_md([0.1, 0.2, 0.5, 0.7], ses=(1e-150, 1, 1, 1))
+
+
+# An inconsistent triangle with var(y) = 0: the REML search bound is 0.001,
+# l_R still rises there (the DL tau^2 is 33.3).
+_TRIANGLE = [("A", "B", 10, 0.01), ("B", "C", 10, 0.01), ("A", "C", 10, 0.01)]
+REML_TOP_EDGE = _md_network(_TRIANGLE)
+# The triangle plus one A-B study: REML fits, and leaving s4 out hits the edge.
+REML_TOP_EDGE_LOO = _md_network(_TRIANGLE + [("A", "B", 30, 1)])
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,8 @@ from conftest import (
     OVERFLOW_FE,
     OVERFLOW_GRAM,
     OVERFLOW_REML_BOUND,
+    REML_TOP_EDGE,
+    REML_TOP_EDGE_LOO,
     blas_threads,
     needs_openblas_threads,
 )
@@ -98,6 +100,17 @@ def test_reml_bound_overflow_exits_1_naming_it(capsys, tmp_path):
     code, out, err = run(capsys, "compare", "--tau-method", "reml", str(path))
     assert (code, out) == (1, "")
     assert err == "error: REML search bound 10 var(y) + 10 max(s_i^2) overflows the float range\n"
+
+
+def test_reml_beyond_bound_exits_1_naming_it(capsys, tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(REML_TOP_EDGE)
+    assert run(capsys, "compare", str(path))[0] == 0
+    code, out, err = run(capsys, "compare", "--tau-method", "reml", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: REML maximizer lies beyond the search bound 10 var(y) + 10 max(s_i^2) = 0.001\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [["compare"], ["compare", "--tau-method", "reml"], ["qdecomp"]])
@@ -337,6 +350,18 @@ class TestLoo:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(",yes," in line for line in lines[1:])
+
+    def test_reml_refit_beyond_bound_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "triangle.json"
+        path.write_text(REML_TOP_EDGE_LOO)
+        code, out, _ = run(capsys, "loo", "--tau-method", "reml", str(path))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["no", "no", "no", "yes"]
+        assert lines[4] == (
+            "s4,yes,REML maximizer lies beyond the search bound "
+            "10 var(y) + 10 max(s_i^2) = 0.001,,,,,"
+        )
 
 
 class TestPlot:

@@ -16,6 +16,7 @@ from nmacompare import (
     ContrastObservation,
     DatasetError,
     EffectMeasure,
+    NetworkDataset,
     build_design_matrix,
     connected_components,
     derive_contrast_binary,
@@ -102,6 +103,10 @@ class TestParseContrastCsv:
     def test_invalid_utf8(self):
         with pytest.raises(DatasetError, match="not valid UTF-8"):
             parse_dataset(b"\xff\xfe\x00bad", "csv", measure="MD")
+
+    def test_invalid_utf8_stream(self):
+        with pytest.raises(DatasetError, match="not valid UTF-8"):
+            parse_dataset(io.BytesIO(b"\xff\xfe\x00bad"), "csv", measure="MD")
 
     def test_unknown_format(self):
         with pytest.raises(DatasetError, match="unknown dataset format"):
@@ -202,6 +207,193 @@ def test_parser_escapes_become_dataset_errors(case):
     with pytest.raises(DatasetError) as info:
         parse_dataset(text, suffix[1:], measure="logOR" if suffix == ".csv" else None)
     assert message in str(info.value)
+
+
+_C = "study_id,treat_a,treat_b,effect,se\n"
+_B = "study_id,treatment,events,total\n"
+_M = "study_id,treatment,mean,se\n"
+_S1 = {"study_id": "s1", "treat_a": "P", "treat_b": "A", "effect": 0.5, "se": 0.2}
+_SE_MSG = "gives a variance se^2 or a weight 1/se^2 that is not a positive finite number"
+
+
+def _json(*studies, **fields):
+    return json.dumps({"measure": "MD", **fields, "studies": list(studies)})
+
+
+def _s1(**fields):
+    return {**_S1, **fields}
+
+
+# (format, measure, input, the full DatasetError message)
+INGESTION_MESSAGES = [
+    ("csv", "MD", b"\xff\xfe",
+     "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    ("yaml", None, "{}", "unknown dataset format 'yaml' (expected csv or json)"),
+    ("csv", "hazard", _C + "s1,P,A,0.5,0.2\n",
+     "unknown effect measure 'hazard' (expected MD, logOR or logRR)"),
+    ("csv", "MD", "\n \n", "empty CSV input"),
+    ("csv", "MD", "a,b,c\n1,2,3\n",
+     "unrecognized CSV header: expected study_id/treat_a/treat_b/effect/se, "
+     "study_id/treatment/events/total, study_id/treatment/mean/se"),
+    ("csv", "MD", _C + "x" * 140_000 + ",P,A,0.5,0.2\n",
+     "CSV line 2: field larger than field limit (131072)"),
+    # contrast rows
+    ("csv", "MD", _C, "dataset contains no studies"),
+    ("csv", None, _C + "s1,P,A,0.5,0.2\n", "effect measure required for contrast CSV input"),
+    ("csv", "MD", _C + "s1,P,A,0.5\n", "row 1: expected 5 fields, got 4"),
+    ("csv", "MD", _C + "s1,P,A,0.5,0.2,9\n", "row 1: expected 5 fields, got 6"),
+    ("csv", "MD", _C + "s1,P,A,oops,0.2\n", "row 1: non-numeric effect 'oops'"),
+    ("csv", "MD", _C + "s1,P,P,oops,0.2\n", "row 1: non-numeric effect 'oops'"),
+    ("csv", "MD", _C + "s1,P,A,0.5,\n", "row 1: non-numeric se ''"),
+    ("csv", "MD", _C + "s1,P,A," + "y" * 60 + ",0.2\n",
+     "row 1: non-numeric effect '" + "y" * 40 + "'..."),
+    ("csv", "MD", _C + "s1,P,A,0.5,0.2\ns2,P,A,0.4,0.3\n,P,A,nan,0.2\n",
+     "row 3: study 'row3': non-finite effect"),
+    ("csv", "MD", _C + "s1,P,A,inf,0.2\n", "row 1: study 's1': non-finite effect"),
+    ("csv", "MD", _C + "s1,P,A,0.5,-1\n", "row 1: study 's1': non-positive standard error"),
+    ("csv", "MD", _C + "s1,P,A,0.5,nan\n", "row 1: study 's1': non-positive standard error"),
+    ("csv", "MD", _C + "s1,P,A,0.5,0.2\ns2,P,A,0.4,1e-200\n",
+     f"row 2: study 's2': standard error 1e-200 {_SE_MSG}"),
+    ("csv", "MD", _C + "s1,P,A,0.5,1e200\n", f"row 1: study 's1': standard error 1e+200 {_SE_MSG}"),
+    ("csv", "MD", _C + "s1, ,A,0.5,0.2\n", "row 1: study 's1': empty treatment label"),
+    ("csv", "MD", _C + "s1,P, P ,0.5,0.2\n", "row 1: study 's1': treatments are identical ('P')"),
+    ("csv", "MD", _C + "s1,P,A,0.5,0.2\ns1,P,A,0.7,0.2\n", "duplicate study id 's1'"),
+    ("csv", "MD", _C + "s1,A,B,0.1,1\ns2,C,D,0.2,1\n", "disconnected network: {A,B} | {C,D}"),
+    # binary arm rows
+    ("csv", None, _B + "s1,P,1,10\ns1,A,2,10\n", "effect measure required for arm-level CSV input"),
+    ("csv", "logOR", _B, "dataset contains no studies"),
+    ("csv", "logOR", _B + "s1,P,1\n", "row 1: expected 4 fields, got 3"),
+    ("csv", "logOR", _B + " ,P,1,10\n", "row 1: arm-level rows need an explicit study_id"),
+    ("csv", "logOR", _B + "s1,P,x,10\n", "row 1: non-numeric events 'x'"),
+    ("csv", "logOR", _B + "s1,P,1.5,10\n", "row 1: non-numeric events '1.5'"),
+    ("csv", "logOR", _B + "s1,P,1," + "9" * 5000 + "\ns1,A,2,10\n",
+     "row 1: total '" + "9" * 40 + "'... has 5000 characters, "
+     "more digits than Python converts to an integer"),
+    ("csv", "logOR", _B + "s1,P,1,10\ns2,P,x,10\n", "row 2: non-numeric events 'x'"),
+    ("csv", "logOR", _B + "s1,P,1,10\n", "study 's1': expected exactly 2 arms, got 1"),
+    ("csv", "logOR", _B + "s1,P,1,10\ns1,A,2,10\ns1,B,2,10\n",
+     "study 's1': expected exactly 2 arms, got 3"),
+    ("csv", "logOR", _B + "s1,P,1,0\ns1,A,2,10\ns2,P,1,10\n",
+     "study 's2': expected exactly 2 arms, got 1"),
+    ("csv", "logOR", _B + "s1,P,1,0\ns1,A,2,10\n", "study 's1': arm a: total must be at least 1"),
+    ("csv", "logOR", _B + "s1,P,1,10\ns1,A,12,10\n", "study 's1': arm b: events outside [0, total]"),
+    ("csv", "logOR", _B + "s1,P,1,10\ns1,A,-1,10\n", "study 's1': arm b: events outside [0, total]"),
+    ("csv", "logOR", _B + "s1,P,1," + "9" * 400 + "\ns1,A,2,10\n",
+     "study 's1': counts too large for floating-point arithmetic"),
+    ("csv", "logOR", _B + f"s1,P,{10**200},{2 * 10**200}\ns1,A,1,{10**200 + 1}\n",
+     "study 's1': counts too large for floating-point arithmetic"),
+    ("csv", "MD", _B + "s1,P,1,10\ns1,A,2,10\n",
+     "study 's1': binary arm data requires measure logOR or logRR"),
+    ("csv", "logRR", _B + "s1,P,1,10\ns1,P,2,10\n",
+     "study 's1': study 's1': treatments are identical ('P')"),
+    ("csv", "logRR", _B + "s1,P,1,10\ns1, ,2,10\n", "study 's1': study 's1': empty treatment label"),
+    ("csv", "logOR", _B + "s1,P,1,10\ns1,A,2,10\ns2,X,1,10\ns2,Y,1,10\n",
+     "disconnected network: {A,P} | {X,Y}"),
+    # continuous arm rows
+    ("csv", "logOR", _M + "s1,P,1,1\ns1,A,2,1\n", "continuous arm data implies measure MD"),
+    ("csv", None, _M, "dataset contains no studies"),
+    ("csv", None, _M + "s1,P,x,1\ns1,A,2,1\n", "row 1: non-numeric mean 'x'"),
+    ("csv", None, _M + "s1,P,1,1\n", "study 's1': expected exactly 2 arms, got 1"),
+    ("csv", None, _M + "s1,P,1,1\ns1,A,2,1,3\n", "row 2: expected 4 fields, got 5"),
+    ("csv", None, _M + "s1,P,1,0\ns1,A,2,1\n", "study 's1': arm standard errors must be positive"),
+    ("csv", None, _M + "s1,P,1,1\ns1,A,2,nan\n", "study 's1': arm standard errors must be positive"),
+    ("csv", None, _M + "s1,P,inf,1\ns1,A,2,1\n", "study 's1': study 's1': non-finite effect"),
+    ("csv", None, _M + "s1,P,-1e308,1\ns1,A,1e308,1\n", "study 's1': study 's1': non-finite effect"),
+    ("csv", None, _M + "s1,P,1,1e200\ns1,A,2,1e200\n",
+     f"study 's1': study 's1': standard error 1.414213562373095e+200 {_SE_MSG}"),
+    ("csv", None, _M + "s1,P,1,1\ns1,P,2,1\n", "study 's1': study 's1': treatments are identical ('P')"),
+    # JSON
+    ("json", None, "{",
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("json", None, "[1]", "JSON dataset must be an object"),
+    ("json", None, _json(_S1, name=[]), "field 'name' must be a string or a number"),
+    ("json", None, _json(_S1, reference={}), "field 'reference' must be a string or a number"),
+    ("json", None, _json(_S1, measure=True), "field 'measure' must be a string"),
+    ("json", "MD", _json(_S1, measure=1), "field 'measure' must be a string"),
+    ("json", None, json.dumps({"measure": "MD"}), "JSON dataset needs a non-empty 'studies' array"),
+    ("json", None, _json(), "JSON dataset needs a non-empty 'studies' array"),
+    ("json", None, json.dumps({"measure": "MD", "studies": {}}),
+     "JSON dataset needs a non-empty 'studies' array"),
+    ("json", None, json.dumps({"studies": [_S1]}), "JSON dataset missing 'measure'"),
+    ("json", None, _json(_S1, measure="hr"), "unknown effect measure 'hr' (expected MD, logOR or logRR)"),
+    ("json", None, _json(_S1, 3), "study 2: expected an object"),
+    ("json", None, _json(_S1, {"study_id": "s2", "treat_a": "P"}),
+     "study 2: missing field(s) treat_b, effect, se"),
+    ("json", None, _json(_S1, _s1(study_id="s2", se="0.2")), "study 2: field 'se' must be a number"),
+    ("json", None, _json(_s1(effect=True)), "study 1: field 'effect' must be a number"),
+    ("json", None, _json(_s1(effect="x", se=None)), "study 1: field 'effect' must be a number"),
+    ("json", None, _json(_s1(treat_a=None)), "study 1: field 'treat_a' must be a string or a number"),
+    ("json", None, _json(_s1(study_id=[1])), "study 1: field 'study_id' must be a string or a number"),
+    ("json", None, '{"measure": "MD", "studies": [' + ", ".join([json.dumps(_S1)] * 3)
+     + ', {"treat_a": "P", "treat_b": "A", "effect": 0.5, "se": ' + "9" * 400 + "}]}",
+     "study 4: effect or se is too large for a floating-point number"),
+    ("json", None, _json(_s1(effect=float("nan"))), "study 1: study 's1': non-finite effect"),
+    ("json", None, _json(_s1(study_id=0, se=0)), "study 1: study 'row1': non-positive standard error"),
+    ("json", None, _json(_s1(se=-0.2)), "study 1: study 's1': non-positive standard error"),
+    ("json", None, _json(_s1(effect=1e308, se=1e-200)),
+     f"study 1: study 's1': standard error 1e-200 {_SE_MSG}"),
+    ("json", None, _json(_s1(treat_b="")), "study 1: study 's1': empty treatment label"),
+    ("json", None, _json(_s1(treat_b=" P")), "study 1: study 's1': treatments are identical ('P')"),
+    ("json", None, _json(_S1, _s1(effect=1)), "duplicate study id 's1'"),
+    ("json", None, _json(_S1, _s1(study_id="s2", treat_a="X", treat_b="Y")),
+     "disconnected network: {A,P} | {X,Y}"),
+    ("json", None, _json(_S1, reference="Z"), "reference treatment 'Z' not in dataset"),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt,measure,source,message",
+    INGESTION_MESSAGES,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(INGESTION_MESSAGES)],
+)
+def test_ingestion_error_messages(fmt, measure, source, message):
+    """The full text of every ingestion error, for each CSV shape and for JSON."""
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(source, fmt, measure=measure)
+    assert str(info.value) == message
+
+
+class TestLoadDataset:
+    @pytest.mark.parametrize("file_name,text", [
+        ("net.csv", _C + "s1,P,A,0.5,0.2\n"),
+        ("net.json", _json(_S1, name="named")),
+        ("net.json", _json(_S1)),
+    ], ids=["csv", "named-json", "unnamed-json"])
+    def test_constructs_the_dataset_once(self, tmp_path, monkeypatch, file_name, text):
+        calls = []
+        post_init = NetworkDataset.__post_init__
+
+        def counting(ds):
+            calls.append(ds)
+            post_init(ds)
+
+        monkeypatch.setattr(NetworkDataset, "__post_init__", counting)
+        path = tmp_path / file_name
+        path.write_text(text, encoding="utf-8")
+        load_dataset(path, measure="MD")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("file_name,text,name,expected", [
+        ("net.csv", _C + "s1,P,A,0.5,0.2\n", "given", "given"),
+        ("net.csv", _C + "s1,P,A,0.5,0.2\n", None, "net"),
+        ("net.json", _json(_S1, name="inner"), "given", "given"),
+        ("net.json", _json(_S1, name="inner"), None, "inner"),
+        ("net.json", _json(_S1), None, "net"),
+        ("net.json", _json(_S1, name=""), None, "net"),
+        ("net.json", _json(_S1, name="dataset"), None, "dataset"),
+    ], ids=["csv-argument", "csv-stem", "json-argument", "json-name", "json-stem",
+            "json-empty-name", "json-named-dataset"])
+    def test_name_precedence(self, tmp_path, file_name, text, name, expected):
+        """The name argument, then the JSON name, then the file stem."""
+        path = tmp_path / file_name
+        path.write_text(text, encoding="utf-8")
+        assert load_dataset(path, measure="MD", name=name).name == expected
+
+    def test_parse_dataset_default_name(self):
+        assert parse_dataset(_json(_S1), "json").name == "dataset"
+        assert parse_dataset(_json(_S1, name="inner"), "json").name == "inner"
+        assert parse_dataset(_json(_S1, name="inner"), "json", name="given").name == "given"
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -312,10 +504,6 @@ class TestDeriveBinary:
         # correction applies to every cell: odds ratio from (0.5, 50.5, 5.5, 45.5)
         expected = math.log((5.5 * 50.5) / (0.5 * 45.5))
         assert effect == pytest.approx(expected, abs=1e-12)
-
-    def test_degenerate_without_correction(self):
-        with pytest.raises(DatasetError, match="degenerate 2x2 table"):
-            derive_contrast_binary(0, 50, 5, 50, EffectMeasure.LOG_OR, correction=0.0)
 
     def test_log_rr_formula(self):
         effect, se = derive_contrast_binary(10, 100, 20, 100, EffectMeasure.LOG_RR)

@@ -29,6 +29,7 @@ from nmacompare.models import _reml_newton_terms
 from conftest import (
     OVERFLOW_FE,
     OVERFLOW_REML_BOUND,
+    REML_TOP_EDGE,
     large_random_network,
     make_dataset,
     random_network,
@@ -254,6 +255,15 @@ class TestTau2Reml:
         ds = parse_dataset(OVERFLOW_REML_BOUND, "json")
         with pytest.raises(NumericError, match="REML search bound .* overflows"):
             estimate_tau2_reml(ds)
+
+    def test_maximizer_beyond_search_bound_named(self):
+        ds = parse_dataset(REML_TOP_EDGE, "json")
+        assert estimate_tau2_dl(ds, fit_fe(ds)) == pytest.approx(33.3332, abs=1e-4)
+        with pytest.raises(EstimationError) as info:
+            estimate_tau2_reml(ds)
+        assert str(info.value) == (
+            "REML maximizer lies beyond the search bound 10 var(y) + 10 max(s_i^2) = 0.001"
+        )
 
     def test_boundary_maximum_beats_interior_local_maximum(self):
         """l_R has a local maximum near 1.107 that is lower than l_R(0)."""
