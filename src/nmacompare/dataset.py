@@ -101,32 +101,20 @@ class ContrastObservation:
             return
         raise _located(f"study {self.study_id!r}", fault)
 
-    @property
-    def pair(self) -> tuple[str, str]:
-        """Canonical unordered pair: lexicographically smaller label first."""
-        if self.treat_a < self.treat_b:
-            return (self.treat_a, self.treat_b)
-        return (self.treat_b, self.treat_a)
-
-    @property
-    def canonical_sign(self) -> float:
-        """+1 if ``effect`` is already oriented as pair[1] minus pair[0], else -1."""
-        return 1.0 if self.treat_a < self.treat_b else -1.0
-
     def flipped(self) -> "ContrastObservation":
         """Same study with arms swapped and the effect negated."""
         return ContrastObservation(self.study_id, self.treat_b, self.treat_a, -self.effect, self.se)
 
 
-def connected_components(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[list[str]]:
+def connected_components(nodes: Iterable, edges: Iterable[tuple]) -> list[list]:
     """Connected components of an undirected graph, as sorted node lists.
 
-    Components are ordered by their smallest member so the output is
-    deterministic regardless of input order.
+    Nodes are labels or integer codes. Components are ordered by their
+    smallest member so the output is deterministic regardless of input order.
     """
-    parent: dict[str, str] = {node: node for node in nodes}
+    parent = {node: node for node in nodes}
 
-    def find(x: str) -> str:
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -136,7 +124,7 @@ def connected_components(nodes: Iterable[str], edges: Iterable[tuple[str, str]])
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    groups: dict[str, list[str]] = {}
+    groups = {}
     for node in parent:
         groups.setdefault(find(node), []).append(node)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
@@ -149,8 +137,11 @@ class NetworkDataset:
     ``treatments`` is derived (sorted labels); ``reference`` defaults to the
     lexicographically smallest treatment when not supplied. The numeric
     columns are built once, at construction: ``effects()``, ``std_errors()``,
-    ``variances()`` and ``weights()`` return the same read-only arrays.
-    ``design`` is the contrast coding (``DesignMatrix``), built on first use.
+    ``variances()`` and ``weights()`` return the same read-only arrays, as are
+    the integer codes: ``codes`` holds each study's (treat_a, treat_b) indices
+    into ``treatments``, ``design_pairs`` the sorted codes lo * n + hi of the
+    designs and ``design_ids`` each study's index into them. ``design`` is the
+    contrast coding (``DesignMatrix``), built on first use.
     """
 
     name: str
@@ -175,13 +166,21 @@ class NetworkDataset:
         if ref not in labels:
             raise DatasetError(f"reference treatment {ref!r} not in dataset")
         object.__setattr__(self, "reference", ref)
-        components = connected_components(labels, [(o.treat_a, o.treat_b) for o in studies])
+        # code order is label order, so pair codes sort as the label pairs do
+        code, n, m = {t: j for j, t in enumerate(labels)}, len(labels), len(studies)
+        a = np.fromiter((code[obs.treat_a] for obs in studies), np.intp, m)
+        b = np.fromiter((code[obs.treat_b] for obs in studies), np.intp, m)
+        pairs, design_ids = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        components = connected_components(range(n), (divmod(c, n) for c in pairs.tolist()))
         if len(components) > 1:
-            parts = " | ".join("{" + ",".join(c) + "}" for c in components)
+            parts = " | ".join("{" + ",".join(labels[j] for j in c) + "}" for c in components)
             raise DatasetError(f"disconnected network: {parts}")
         std_errors = np.array([obs.se for obs in studies], dtype=float)
         variances = std_errors**2
         for name, column in (
+            ("codes", np.array((a, b))),
+            ("design_pairs", pairs),
+            ("design_ids", design_ids),
             ("_effects", np.array([obs.effect for obs in studies], dtype=float)),
             ("_std_errors", std_errors),
             ("_variances", variances),
@@ -216,12 +215,6 @@ class NetworkDataset:
         """Design matrix of E(y) = X d, shared by every model fit of this dataset."""
         return build_design_matrix(self)
 
-    def study_index(self, study_id: str) -> int:
-        for i, obs in enumerate(self.studies):
-            if obs.study_id == study_id:
-                return i
-        raise DatasetError(f"unknown study id {study_id!r}")
-
     def drop_studies(self, study_ids: Iterable[str]) -> "NetworkDataset":
         """New dataset without the named studies; revalidates connectivity.
 
@@ -255,10 +248,13 @@ class Design:
 
 def group_designs(ds: NetworkDataset) -> list[Design]:
     """Partition the studies into designs, sorted by canonical pair."""
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, obs in enumerate(ds.studies):
-        groups.setdefault(obs.pair, []).append(i)
-    return [Design(pair, tuple(members)) for pair, members in sorted(groups.items())]
+    n, t = ds.n_treatments, ds.treatments
+    order = np.argsort(ds.design_ids, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(ds.design_ids)).tolist()
+    return [
+        Design((t[code // n], t[code % n]), tuple(order[start:end]))
+        for code, start, end in zip(ds.design_pairs.tolist(), [0] + ends, ends)
+    ]
 
 
 @dataclass(frozen=True)
@@ -321,11 +317,9 @@ class DesignMatrix:
 def build_design_matrix(ds: NetworkDataset) -> DesignMatrix:
     """Design for the dataset; columns are the sorted non-reference treatments."""
     columns = tuple(t for t in ds.treatments if t != ds.reference)
-    index = {t: j for j, t in enumerate(columns)}
-    index[ds.reference] = len(columns)
-    m = ds.n_studies
-    a = np.fromiter((index[obs.treat_a] for obs in ds.studies), dtype=np.intp, count=m)
-    b = np.fromiter((index[obs.treat_b] for obs in ds.studies), dtype=np.intp, count=m)
+    ref, codes = ds.treatments.index(ds.reference), ds.codes
+    # codes past the reference shift down one column; the reference takes the dummy
+    a, b = np.where(codes == ref, len(columns), codes - (codes > ref))
     return DesignMatrix(a, b, columns)
 
 
@@ -473,6 +467,8 @@ def _located(where: str, fault: object) -> DatasetError:
 def _number(raw, column: str, kind: type) -> float | int:
     """``kind(raw)`` for float or int; the error quotes at most 40 characters."""
     try:
+        if isinstance(raw, str) and "_" in raw:  # float() would read "1_00" as 100
+            raise ValueError(raw)
         return kind(raw)
     except ValueError:
         text = str(raw).strip()
@@ -546,9 +542,10 @@ def _parse_csv(
     studies = []
     for study_id, ((treat_a, a1, a2), (treat_b, b1, b2)) in arms.items():
         try:
-            studies.append(ContrastObservation(study_id, treat_a, treat_b, *derive(a1, a2, b1, b2)))
+            effect, se = derive(a1, a2, b1, b2)
         except DatasetError as exc:
             raise _located(f"study {study_id!r}", exc) from None
+        studies.append(ContrastObservation(study_id, treat_a, treat_b, effect, se))
     return measure, studies, "", ""
 
 

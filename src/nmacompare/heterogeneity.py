@@ -112,19 +112,19 @@ def q_total(ds: NetworkDataset, fe: ModelFit) -> float:
 def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
     """Decompose Q_total into per-design and per-study heterogeneity plus inconsistency.
 
-    Every study carries the index of its design in ``group_designs`` order;
-    ``np.bincount`` over that index gives the pooled design means, Q_het per
-    design and, with the FE fitted values, Q_inc, in one pass over the studies.
+    Every study carries the index of its design in ``group_designs`` order
+    (``ds.design_ids``); ``np.bincount`` over that index gives the pooled
+    design means, Q_het per design and, with the FE fitted values, Q_inc, in
+    one pass over the studies.
     """
     designs = group_designs(ds)
     w = ds.weights()
     m = ds.n_studies
     n_effects = ds.design.cols
 
-    design_id = np.empty(m, dtype=np.intp)
-    for j, design in enumerate(designs):
-        design_id[list(design.members)] = j
-    signs = np.array([obs.canonical_sign for obs in ds.studies])
+    design_id = ds.design_ids
+    a, b = ds.codes
+    signs = np.where(a < b, 1.0, -1.0)  # +1 where treat_a is the lower label
     y_c = ds.effects() * signs
     pooled = np.bincount(design_id, w * y_c) / np.bincount(design_id, w)
     pooled_c = pooled[design_id]

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .analysis import ComparisonReport, format_csv
 from .dataset import DatasetError, NetworkDataset, group_designs
@@ -178,7 +178,7 @@ def _svg_start(width: int, height: int, title: str) -> list[str]:
     if title:
         parts.append(
             f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>\n'
+            f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>\n'
         )
     return parts
 
@@ -235,11 +235,11 @@ def _render_forest(rows: list[ForestRow], title: str) -> str:
             parts.append(
                 f'<text x="8" y="{_fmt(cy + 4)}" text-anchor="start" '
                 f'font-family="sans-serif" font-size="11" font-weight="bold">'
-                f"{escape(row.group)}</text>\n"
+                f"{escape(row.group, quote=False)}</text>\n"
             )
         parts.append(
             f'<text x="{left - 10}" y="{_fmt(cy + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{escape(row.label)}</text>\n'
+            f'font-family="sans-serif" font-size="11">{escape(row.label, quote=False)}</text>\n'
         )
         parts.append(
             f'<line x1="{_fmt(sx(row.ci_lo))}" y1="{_fmt(cy)}" '
@@ -321,7 +321,7 @@ def _render_network(graph: NetworkGraph, title: str) -> str:
         parts.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="24" fill="#e8eef7" stroke="#3d5a80"/>\n'
             f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{escape(node)}</text>\n'
+            f'font-family="sans-serif" font-size="10">{escape(node, quote=False)}</text>\n'
         )
     parts.append("</svg>\n")
     return "".join(parts)

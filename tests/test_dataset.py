@@ -26,7 +26,7 @@ from nmacompare import (
     parse_dataset,
 )
 
-from conftest import ESCAPING_INPUTS, make_dataset, random_network
+from conftest import ESCAPING_INPUTS, decompose, make_dataset, random_network
 
 
 class TestParseContrastCsv:
@@ -286,8 +286,8 @@ INGESTION_MESSAGES = [
     ("csv", "MD", _B + "s1,P,1,10\ns1,A,2,10\n",
      "study 's1': binary arm data requires measure logOR or logRR"),
     ("csv", "logRR", _B + "s1,P,1,10\ns1,P,2,10\n",
-     "study 's1': study 's1': treatments are identical ('P')"),
-    ("csv", "logRR", _B + "s1,P,1,10\ns1, ,2,10\n", "study 's1': study 's1': empty treatment label"),
+     "study 's1': treatments are identical ('P')"),
+    ("csv", "logRR", _B + "s1,P,1,10\ns1, ,2,10\n", "study 's1': empty treatment label"),
     ("csv", "logOR", _B + "s1,P,1,10\ns1,A,2,10\ns2,X,1,10\ns2,Y,1,10\n",
      "disconnected network: {A,P} | {X,Y}"),
     # continuous arm rows
@@ -298,11 +298,11 @@ INGESTION_MESSAGES = [
     ("csv", None, _M + "s1,P,1,1\ns1,A,2,1,3\n", "row 2: expected 4 fields, got 5"),
     ("csv", None, _M + "s1,P,1,0\ns1,A,2,1\n", "study 's1': arm standard errors must be positive"),
     ("csv", None, _M + "s1,P,1,1\ns1,A,2,nan\n", "study 's1': arm standard errors must be positive"),
-    ("csv", None, _M + "s1,P,inf,1\ns1,A,2,1\n", "study 's1': study 's1': non-finite effect"),
-    ("csv", None, _M + "s1,P,-1e308,1\ns1,A,1e308,1\n", "study 's1': study 's1': non-finite effect"),
+    ("csv", None, _M + "s1,P,inf,1\ns1,A,2,1\n", "study 's1': non-finite effect"),
+    ("csv", None, _M + "s1,P,-1e308,1\ns1,A,1e308,1\n", "study 's1': non-finite effect"),
     ("csv", None, _M + "s1,P,1,1e200\ns1,A,2,1e200\n",
-     f"study 's1': study 's1': standard error 1.414213562373095e+200 {_SE_MSG}"),
-    ("csv", None, _M + "s1,P,1,1\ns1,P,2,1\n", "study 's1': study 's1': treatments are identical ('P')"),
+     f"study 's1': standard error 1.414213562373095e+200 {_SE_MSG}"),
+    ("csv", None, _M + "s1,P,1,1\ns1,P,2,1\n", "study 's1': treatments are identical ('P')"),
     # JSON
     ("json", None, "{",
      "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
@@ -339,6 +339,16 @@ INGESTION_MESSAGES = [
     ("json", None, _json(_S1, _s1(study_id="s2", treat_a="X", treat_b="Y")),
      "disconnected network: {A,P} | {X,Y}"),
     ("json", None, _json(_S1, reference="Z"), "reference treatment 'Z' not in dataset"),
+    # Python's digit-group underscores are not read as numbers (new rows go last, so
+    # the ids of the rows above stay put)
+    ("csv", "MD", _C + "s1,P,A,0_5,0.2\n", "row 1: non-numeric effect '0_5'"),
+    ("csv", "MD", _C + "s1,P,A,0.5,0.2\ns2,P,A,0.5,0_3\n", "row 2: non-numeric se '0_3'"),
+    ("csv", "logOR", _B + "s1,P,1_0,100\ns1,A,2,10\n", "row 1: non-numeric events '1_0'"),
+    ("csv", "logOR", _B + "s1,P,1,10\ns1,A,2,1_00\n", "row 2: non-numeric total '1_00'"),
+    ("csv", None, _M + "s1,P,1_5,1\ns1,A,2,1\n", "row 1: non-numeric mean '1_5'"),
+    # components found on integer codes are reported in label order
+    ("csv", "MD", _C + "s1,F,D,0.1,1\ns2,C,A,0.2,1\ns3,E,B,0.3,1\n",
+     "disconnected network: {A,C} | {B,E} | {D,F}"),
 ]
 
 
@@ -547,7 +557,7 @@ class TestDesigns:
         assert len(group_designs(nsaid)) == 6
 
     def test_smoke_design_count_brute_force(self, smoke):
-        expected = len({obs.pair for obs in smoke.studies})
+        expected = len({frozenset((obs.treat_a, obs.treat_b)) for obs in smoke.studies})
         designs = group_designs(smoke)
         assert len(designs) == expected == 10
 
@@ -568,6 +578,40 @@ class TestDesigns:
     def test_orientation_does_not_split_designs(self):
         ds = make_dataset([("P", "A", 0.5, 0.2), ("A", "P", -0.3, 0.4)])
         assert len(group_designs(ds)) == 1
+
+    def test_integer_coding_matches_string_keyed_grouping(self):
+        """Designs, design means and design columns agree with grouping by label pairs.
+
+        Labels B5..B17 sort as B10 < ... < B17 < B5 < ... < B9, not in the
+        order the generator creates them.
+        """
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            drawn = random_network(rng, max_treatments=13)
+            relabel = {t: f"B{int(t[1:]) + 5}" for t in drawn.treatments}
+            ds = make_dataset([
+                (relabel[o.treat_a], relabel[o.treat_b], o.effect, o.se) for o in drawn.studies
+            ], drawn.measure)
+            groups: dict[tuple[str, str], list[int]] = {}
+            for i, obs in enumerate(ds.studies):
+                groups.setdefault(tuple(sorted((obs.treat_a, obs.treat_b))), []).append(i)
+            expected = sorted(groups.items())
+            designs = group_designs(ds)
+            assert [(d.pair, list(d.members)) for d in designs] == expected
+
+            _, _, q = decompose(ds)
+            for (pair, members), contribution in zip(expected, q.per_design):
+                w = [1.0 / ds.studies[i].se ** 2 for i in members]
+                y = [ds.studies[i].effect * (1 if ds.studies[i].treat_a == pair[0] else -1)
+                     for i in members]
+                mean = sum(wi * yi for wi, yi in zip(w, y)) / sum(w)
+                assert contribution.pooled_mean == pytest.approx(mean, rel=1e-12, abs=1e-14)
+
+            columns = tuple(t for t in sorted(relabel.values()) if t != ds.reference)
+            index = {t: j for j, t in enumerate(columns)} | {ds.reference: len(columns)}
+            assert ds.design.column_treatments == columns
+            assert ds.design.a_idx.tolist() == [index[obs.treat_a] for obs in ds.studies]
+            assert ds.design.b_idx.tolist() == [index[obs.treat_b] for obs in ds.studies]
 
 
 class TestDesignMatrix:
@@ -712,5 +756,3 @@ class TestDatasetInvariants:
         obs = ContrastObservation("s1", "P", "A", 0.5, 0.2)
         back = obs.flipped()
         assert (back.treat_a, back.treat_b, back.effect) == ("A", "P", -0.5)
-        assert back.pair == obs.pair
-        assert back.canonical_sign == -obs.canonical_sign

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the CLI imports light.
 
 No linter ships with the project, so this walks each module's syntax tree.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
@@ -7,6 +7,9 @@ No linter ships with the project, so this walks each module's syntax tree.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,19 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"line {line}: {name}" for name, line in _imported(tree).items() if name not in used]
     assert unused == []
+
+
+def test_cli_import_skips_network_modules():
+    """``xml.sax.saxutils`` pulled these in at every cold ``nma`` start; ``html`` does not."""
+    probe = (
+        "import sys, nmacompare.cli\n"
+        "print(sorted({'urllib.request', 'http.client', 'ssl', 'email'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -149,7 +149,7 @@ class TestRenderSvg:
         assert len(radii) == len(study_rows)
         biggest = study_rows[radii.index(max(radii))]
         min_se = min(obs.se for obs in nsaid.studies)
-        assert nsaid.studies[nsaid.study_index(biggest.label)].se == min_se
+        assert [obs.se for obs in nsaid.studies if obs.study_id == biggest.label] == [min_se]
 
     def test_radius_proportional_to_inverse_se(self, nsaid, nsaid_forest):
         svg = render_svg(nsaid_forest)
