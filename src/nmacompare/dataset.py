@@ -15,10 +15,11 @@ import functools
 import io
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,34 +60,28 @@ class EffectMeasure(Enum):
         raise DatasetError(f"unknown effect measure {text!r} (expected MD, logOR or logRR)")
 
 
-@dataclass(frozen=True)
-class ContrastObservation:
+class ContrastObservation(namedtuple("ContrastObservation", "study_id treat_a treat_b effect se")):
     """One two-arm study; ``effect`` estimates ``treat_b`` relative to ``treat_a``.
 
     The one place where ingestion coerces: labels to stripped strings,
-    ``effect`` and ``se`` to floats.
+    ``effect`` and ``se`` to floats. A validated tuple: ``_make`` and
+    ``_replace`` construct through the same checks.
     """
 
-    study_id: str
-    treat_a: str
-    treat_b: str
-    effect: float
-    se: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for attr in ("study_id", "treat_a", "treat_b"):
-            object.__setattr__(self, attr, str(getattr(self, attr)).strip())
+    def __new__(cls, study_id, treat_a, treat_b, effect, se) -> "ContrastObservation":
+        study_id = str(study_id).strip()
+        treat_a, treat_b = str(treat_a).strip(), str(treat_b).strip()
         try:
-            effect, se = _number(self.effect, "effect", float), _number(self.se, "se", float)
+            effect, se = _number(effect, "effect", float), _number(se, "se", float)
         except OverflowError:
             # an integer beyond the float range
             raise DatasetError("effect or se is too large for a floating-point number") from None
-        object.__setattr__(self, "effect", effect)
-        object.__setattr__(self, "se", se)
-        if not self.treat_a or not self.treat_b:
+        if not treat_a or not treat_b:
             fault = "empty treatment label"
-        elif self.treat_a == self.treat_b:
-            fault = f"treatments are identical ({self.treat_a!r})"
+        elif treat_a == treat_b:
+            fault = f"treatments are identical ({treat_a!r})"
         elif not math.isfinite(effect):
             fault = "non-finite effect"
         elif not math.isfinite(se) or se <= 0:
@@ -98,8 +93,12 @@ class ContrastObservation:
                 "or a weight 1/se^2 that is not a positive finite number"
             )
         else:
-            return
-        raise _located(f"study {self.study_id!r}", fault)
+            return super().__new__(cls, study_id, treat_a, treat_b, effect, se)
+        raise _located(f"study {study_id!r}", fault)
+
+    @classmethod
+    def _make(cls, iterable) -> "ContrastObservation":
+        return cls(*iterable)
 
     def flipped(self) -> "ContrastObservation":
         """Same study with arms swapped and the effect negated."""
@@ -155,12 +154,16 @@ class NetworkDataset:
         object.__setattr__(self, "studies", studies)
         if not studies:
             raise DatasetError("dataset contains no studies")
+        if set(map(type, studies)) != {ContrastObservation}:
+            # a plain tuple unpacks like a study but has not been through its checks
+            raise TypeError("studies must be ContrastObservation records")
+        ids, treat_a, treat_b, effects, ses = zip(*studies)
         seen: set[str] = set()
-        for obs in studies:
-            if obs.study_id in seen:
-                raise DatasetError(f"duplicate study id {obs.study_id!r}")
-            seen.add(obs.study_id)
-        labels = sorted({t for obs in studies for t in (obs.treat_a, obs.treat_b)})
+        for study_id in ids:
+            if study_id in seen:
+                raise DatasetError(f"duplicate study id {study_id!r}")
+            seen.add(study_id)
+        labels = sorted({*treat_a, *treat_b})
         object.__setattr__(self, "treatments", tuple(labels))
         ref = self.reference.strip() if self.reference else labels[0]
         if ref not in labels:
@@ -168,20 +171,20 @@ class NetworkDataset:
         object.__setattr__(self, "reference", ref)
         # code order is label order, so pair codes sort as the label pairs do
         code, n, m = {t: j for j, t in enumerate(labels)}, len(labels), len(studies)
-        a = np.fromiter((code[obs.treat_a] for obs in studies), np.intp, m)
-        b = np.fromiter((code[obs.treat_b] for obs in studies), np.intp, m)
+        a = np.fromiter(map(code.__getitem__, treat_a), np.intp, m)
+        b = np.fromiter(map(code.__getitem__, treat_b), np.intp, m)
         pairs, design_ids = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
         components = connected_components(range(n), (divmod(c, n) for c in pairs.tolist()))
         if len(components) > 1:
             parts = " | ".join("{" + ",".join(labels[j] for j in c) + "}" for c in components)
             raise DatasetError(f"disconnected network: {parts}")
-        std_errors = np.array([obs.se for obs in studies], dtype=float)
+        std_errors = np.array(ses, dtype=float)
         variances = std_errors**2
         for name, column in (
             ("codes", np.array((a, b))),
             ("design_pairs", pairs),
             ("design_ids", design_ids),
-            ("_effects", np.array([obs.effect for obs in studies], dtype=float)),
+            ("_effects", np.array(effects, dtype=float)),
             ("_std_errors", std_errors),
             ("_variances", variances),
             ("_weights", 1.0 / variances),
@@ -234,8 +237,7 @@ class NetworkDataset:
         return NetworkDataset(self.name, self.measure, remaining, ref)
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(NamedTuple):
     """All studies comparing the same unordered treatment pair."""
 
     pair: tuple[str, str]
@@ -272,9 +274,6 @@ class DesignMatrix:
     one ``np.bincount`` with weights (w, w, -w, -w) gives X'WX as the
     weighted Laplacian of the network, exactly symmetric. ``xt_index`` is
     (b_idx, a_idx) for X'v as one bincount of (v, -v).
-
-    The dense m x (n - 1) ``matrix`` is built on first access; the fits
-    never read it.
     """
 
     a_idx: np.ndarray
@@ -301,17 +300,6 @@ class DesignMatrix:
     @property
     def cols(self) -> int:
         return len(self.column_treatments)
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense m x cols design matrix X (read-only)."""
-        rows = np.arange(len(self.a_idx))
-        mat = np.zeros((len(rows), self.cols + 1))
-        mat[rows, self.b_idx] = 1.0
-        mat[rows, self.a_idx] = -1.0
-        mat = mat[:, :-1].copy()
-        mat.setflags(write=False)
-        return mat
 
 
 def build_design_matrix(ds: NetworkDataset) -> DesignMatrix:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DesignContribution:
+class DesignContribution(NamedTuple):
     """Heterogeneity contributed by one design, plus its pooled direct estimate.
 
     ``pooled_mean`` is oriented as pair[1] relative to pair[0].
@@ -49,8 +48,7 @@ class DesignContribution:
     pooled_mean: float
 
 
-@dataclass(frozen=True)
-class StudyContribution:
+class StudyContribution(NamedTuple):
     """Heterogeneity contributed by one study: w_i (y_i - ybar_design)^2."""
 
     index: int
@@ -147,12 +145,6 @@ def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
         df_inc=df_inc,
         p_het=chi_square_sf(q_het, df_het) if df_het >= 1 else None,
         p_inc=chi_square_sf(q_inc, df_inc) if df_inc >= 1 else None,
-        per_design=tuple(
-            DesignContribution(design, float(q), float(mean))
-            for design, q, mean in zip(designs, per_design_q, pooled)
-        ),
-        per_study=tuple(
-            StudyContribution(i, q, wi)
-            for i, (q, wi) in enumerate(zip(per_study_q.tolist(), w.tolist()))
-        ),
+        per_design=tuple(map(DesignContribution, designs, per_design_q.tolist(), pooled.tolist())),
+        per_study=tuple(map(StudyContribution, range(m), per_study_q.tolist(), w.tolist())),
     )

@@ -333,15 +333,13 @@ def _render_network(graph: NetworkGraph, title: str) -> str:
 
 def _model_entry(fit: ModelFit) -> dict:
     z = normal_quantile(0.5 + fit.ci_level / 2.0)
-    d_hat = {}
-    for treat in fit.column_treatments:
-        est, se = fit.contrast(treat)
-        d_hat[treat] = {
-            "est": est,
-            "se": se,
-            "ci_lo": est - z * se,
-            "ci_hi": est + z * se,
-        }
+    # each column against the reference as fit.contrast gives it; + 0.0 turns -0.0 into 0.0
+    ests = (fit.d_hat + 0.0).tolist()
+    ses = [math.sqrt(max(v + 0.0, 0.0)) for v in fit.cov.diagonal().tolist()]
+    d_hat = {
+        treat: {"est": est, "se": se, "ci_lo": est - z * se, "ci_hi": est + z * se}
+        for treat, est, se in zip(fit.column_treatments, ests, ses)
+    }
     hetero: dict[str, float] = {}
     if fit.tau2 is not None:
         hetero = {"tau2": fit.tau2, "tau": math.sqrt(fit.tau2)}

@@ -11,6 +11,7 @@ import pytest
 
 from nmacompare import (
     ContrastObservation,
+    DesignMatrix,
     EffectMeasure,
     NetworkDataset,
     fit_fe,
@@ -184,6 +185,21 @@ def large_random_network() -> NetworkDataset:
     return random_network(np.random.default_rng(29), max_treatments=30, max_studies=200)
 
 
+def dense_design(x: DesignMatrix) -> np.ndarray:
+    """Test oracle: the dense m x cols design matrix X of ``x``, read-only.
+
+    Row i has +1 in column ``b_idx[i]`` and -1 in column ``a_idx[i]``; the
+    reference's dummy column ``cols`` is dropped.
+    """
+    rows = np.arange(len(x.a_idx))
+    mat = np.zeros((len(rows), x.cols + 1))
+    mat[rows, x.b_idx] = 1.0
+    mat[rows, x.a_idx] = -1.0
+    mat = mat[:, :-1].copy()
+    mat.setflags(write=False)
+    return mat
+
+
 def decompose(ds: NetworkDataset):
     """Convenience: (design matrix, FE fit, Q decomposition) for a dataset."""
     fe = fit_fe(ds)
@@ -199,7 +215,7 @@ def reml_restricted_loglik_grid(ds, grid):
     """
     y = ds.effects()
     v = ds.variances()
-    mat = ds.design.matrix
+    mat = dense_design(ds.design)
     grid = np.asarray(grid, dtype=float)
     out = np.empty(grid.size)
     for start in range(0, grid.size, 2048):

@@ -26,7 +26,8 @@ from nmacompare import (
     parse_dataset,
 )
 
-from conftest import ESCAPING_INPUTS, decompose, make_dataset, random_network
+from conftest import ESCAPING_INPUTS, decompose, dense_design, make_dataset, random_network
+from test_kernels import networks
 
 
 class TestParseContrastCsv:
@@ -364,6 +365,61 @@ def test_ingestion_error_messages(fmt, measure, source, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("build,pinned", [
+    pytest.param(lambda: ContrastObservation("s1", " ", "A", 0.5, 0.2),
+                 "row 1: study 's1': empty treatment label", id="empty-label"),
+    pytest.param(lambda: ContrastObservation("s1", "P", " P ", 0.5, 0.2),
+                 "row 1: study 's1': treatments are identical ('P')", id="identical-arms"),
+    pytest.param(lambda: ContrastObservation("s1", "P", "A", "inf", 0.2),
+                 "row 1: study 's1': non-finite effect", id="non-finite-effect"),
+    pytest.param(lambda: ContrastObservation("s1", "P", "A", 0.5, -1),
+                 "row 1: study 's1': non-positive standard error", id="negative-se"),
+    pytest.param(lambda: ContrastObservation("s2", "P", "A", 0.4, 1e-200),
+                 f"row 2: study 's2': standard error 1e-200 {_SE_MSG}", id="weight-overflows"),
+    pytest.param(lambda: ContrastObservation("s1", "P", "A", 0.5, 1e200),
+                 f"row 1: study 's1': standard error 1e+200 {_SE_MSG}", id="variance-overflows"),
+    pytest.param(lambda: ContrastObservation("row4", "P", "A", 0.5, int("9" * 400)),
+                 "study 4: effect or se is too large for a floating-point number",
+                 id="int-beyond-float"),
+    pytest.param(lambda: ContrastObservation("s1", "P", "A", 0.5, 0.2)._replace(se=0.0),
+                 "row 1: study 's1': non-positive standard error", id="replace"),
+    pytest.param(lambda: ContrastObservation._make(("s1", "P", " P ", 0.5, 0.2)),
+                 "row 1: study 's1': treatments are identical ('P')", id="make"),
+])
+def test_direct_construction_messages(build, pinned):
+    """Built directly, a study raises the pinned text without the parser's location."""
+    assert pinned in [case[3] for case in INGESTION_MESSAGES]
+    with pytest.raises(DatasetError) as info:
+        build()
+    assert str(info.value) == pinned.partition(": ")[2]
+
+
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(networks(), st.data())
+def test_columns_are_the_study_fields(ds, data):
+    """The dataset's columns read the per-study fields; a repeated id is named."""
+    studies = ds.studies
+    assert ds.effects().tolist() == [obs.effect for obs in studies]
+    assert ds.std_errors().tolist() == [obs.se for obs in studies]
+    code = {t: j for j, t in enumerate(ds.treatments)}
+    assert ds.codes.tolist() == [
+        [code[obs.treat_a] for obs in studies], [code[obs.treat_b] for obs in studies]
+    ]
+
+    # study j takes the id of an earlier study i, and the last study, when it
+    # comes after j, that of the first: the message names the repeat at j
+    m = ds.n_studies
+    j = data.draw(st.integers(1, m - 1))
+    i = data.draw(st.integers(0, j - 1))
+    repeated = list(studies)
+    repeated[j] = studies[j]._replace(study_id=studies[i].study_id)
+    if j < m - 1:
+        repeated[-1] = studies[-1]._replace(study_id=studies[0].study_id)
+    with pytest.raises(DatasetError) as info:
+        NetworkDataset(ds.name, ds.measure, repeated, ds.reference)
+    assert str(info.value) == f"duplicate study id {studies[i].study_id!r}"
+
+
 class TestLoadDataset:
     @pytest.mark.parametrize("file_name,text", [
         ("net.csv", _C + "s1,P,A,0.5,0.2\n"),
@@ -619,7 +675,7 @@ class TestDesignMatrix:
         ds = make_dataset([("P", "A", 0.1, 1.0), ("A", "B", 0.2, 1.0)], reference="P")
         x = build_design_matrix(ds)
         assert x.column_treatments == ("A", "B")
-        assert x.matrix.tolist() == [[1.0, 0.0], [-1.0, 1.0]]
+        assert dense_design(x).tolist() == [[1.0, 0.0], [-1.0, 1.0]]
 
     def test_disconnected_message(self):
         with pytest.raises(DatasetError, match=r"disconnected network: \{A,B\} \| \{C,D\}"):
@@ -627,9 +683,9 @@ class TestDesignMatrix:
 
     def test_nsaid_star_rows(self, nsaid):
         x = build_design_matrix(nsaid)
-        assert x.matrix.shape == (29, 6)
+        assert dense_design(x).shape == (29, 6)
         for i, obs in enumerate(nsaid.studies):
-            row = x.matrix[i]
+            row = dense_design(x)[i]
             assert np.sum(row == 1.0) == 1
             assert np.sum(row != 0.0) == 1
             assert x.column_treatments[int(np.argmax(row))] == obs.treat_b
@@ -639,20 +695,22 @@ class TestDesignMatrix:
         for _ in range(20):
             ds = random_network(rng)
             x = build_design_matrix(ds)
-            assert np.linalg.matrix_rank(x.matrix) == ds.n_treatments - 1
+            assert np.linalg.matrix_rank(dense_design(x)) == ds.n_treatments - 1
 
     def test_matrix_is_read_only(self, nsaid):
         x = build_design_matrix(nsaid)
         with pytest.raises(ValueError):
-            x.matrix[0, 0] = 5.0
+            dense_design(x)[0, 0] = 5.0
 
     def test_dataset_design_built_once(self, nsaid):
         assert nsaid.design is nsaid.design
-        np.testing.assert_array_equal(nsaid.design.matrix, build_design_matrix(nsaid).matrix)
+        np.testing.assert_array_equal(
+            dense_design(nsaid.design), dense_design(build_design_matrix(nsaid))
+        )
         dropped = nsaid.drop_studies([nsaid.studies[0].study_id])
         assert dropped.design is not nsaid.design
-        assert dropped.design.matrix.shape == (28, 6)
-        np.testing.assert_array_equal(dropped.design.matrix, nsaid.design.matrix[1:])
+        assert dense_design(dropped.design).shape == (28, 6)
+        np.testing.assert_array_equal(dense_design(dropped.design), dense_design(nsaid.design)[1:])
 
 
 class TestConnectivityOracle:
@@ -747,6 +805,12 @@ class TestDatasetInvariants:
             np.testing.assert_array_equal(column, values)
         with pytest.raises(ValueError):
             ds.effects()[0] = 1.0
+
+    def test_studies_must_be_validated_records(self):
+        # a plain tuple unpacks like a study, but a NaN effect and a negative se must not pass
+        studies = (("s1", "P", "A", math.nan, -0.2), ContrastObservation("s2", "A", "B", 0.1, 0.2))
+        with pytest.raises(TypeError, match="studies must be ContrastObservation records"):
+            NetworkDataset("x", EffectMeasure.MD, studies)
 
     def test_labels_trimmed(self):
         obs = ContrastObservation("s1", " P ", " A ", 0.5, 0.2)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nmacompare import NetworkDataset, fit_fe, reml_objective
 from nmacompare import models
 
-from conftest import random_network
+from conftest import dense_design, random_network
 
 RTOL = 1e-12
 
@@ -37,7 +37,7 @@ def networks(draw):
 @given(networks(), st.floats(0.0, 2.0))
 def test_index_kernels_match_dense_formulas(ds, tau2):
     x = ds.design
-    mat = x.matrix
+    mat = dense_design(x)
     y = ds.effects()
     w = 1.0 / (ds.variances() + tau2)
     rng = np.random.default_rng(ds.n_studies)

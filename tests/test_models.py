@@ -30,6 +30,7 @@ from conftest import (
     OVERFLOW_FE,
     OVERFLOW_REML_BOUND,
     REML_TOP_EDGE,
+    dense_design,
     large_random_network,
     make_dataset,
     random_network,
@@ -171,7 +172,7 @@ class TestTau2Dl:
         for _ in range(10):
             ds = random_network(rng, max_treatments=6, max_studies=25)
             x = ds.design
-            mat = x.matrix
+            mat = dense_design(x)
             w = np.diag(ds.weights())
             y = ds.effects()
             gram_inv = np.linalg.inv(mat.T @ w @ mat)
@@ -192,7 +193,7 @@ class TestRemlObjective:
         q = q_total(two_study, fe)
         v = two_study.variances()
         # remove the two log-det terms to isolate the quadratic form
-        gram = x.matrix.T @ (x.matrix / v[:, None])
+        gram = dense_design(x).T @ (dense_design(x) / v[:, None])
         base = reml_objective(0.0, two_study)
         quad = -2.0 * base - float(np.sum(np.log(v))) - math.log(float(gram[0, 0]))
         assert quad == pytest.approx(q, abs=1e-12)
