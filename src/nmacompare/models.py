@@ -166,7 +166,7 @@ def _gram(x: DesignMatrix, w: np.ndarray) -> np.ndarray:
 
     ``w`` holds one weight per study, or a (k, m) stack of weight vectors for
     a (k, p, p) stack of matrices. Entries may come back non-finite when the
-    weights are extreme; ``_gls_solve`` checks them.
+    weights are extreme; ``_gls`` checks them.
     """
     size = x.cols + 1
     flat = _bincount(x.gram_index, np.concatenate((w, w, -w, -w), axis=-1), size * size)
@@ -194,42 +194,47 @@ def _leverages(x: DesignMatrix, c: np.ndarray) -> np.ndarray:
     return (pad[b, b] - c_ab) + (pad[a, a] - c_ab)
 
 
-def _gls_solve(gram: np.ndarray, rhs: np.ndarray):
-    """Solve the weighted Gram system X'WX z = rhs by one Cholesky factorization.
-
-    Returns the ``SpdSolveResult``: the solution and log det of X'WX. A stack
-    of Gram matrices is solved by one stacked factorization.
-    """
-    if not np.isfinite(gram).all():
-        raise NumericError(
-            "X'WX overflows: an extreme weight 1/(s_i^2 + tau^2) makes the Gram matrix "
-            "exceed the float range"
-        )
-    try:
-        return solve_spd(gram, rhs)
-    except NumericError:
-        raise EstimationError("rank-deficient design") from None
-
-
-def _wls(ds: NetworkDataset, sigma2: np.ndarray):
+def _gls(ds: NetworkDataset, sigma2: np.ndarray):
     """Generalized least squares for E(y) = X d with diagonal covariance ``sigma2``.
 
-    Returns (d_hat, C, log det X'WX, fitted) with W = diag(1 / sigma2) and
-    C = (X'WX)^-1, the covariance of d_hat. X'WX and X'Wy are built by
-    ``np.bincount`` from the endpoint columns of each study, in O(m); one
-    Cholesky factorization of X'WX is solved against [X'Wy | I], and C is
-    symmetrized.
+    Returns (d_hat, L, log det X'WX, fitted) with W = diag(1 / sigma2), X'WX built
+    by ``np.bincount`` in O(m) and L its Cholesky factor; ``_cov(L)`` is the
+    covariance of d_hat. A (k, m) ``sigma2`` gives a stack of each result.
     """
     x = ds.design
     w = 1.0 / sigma2
     with np.errstate(over="ignore", invalid="ignore"):
         gram = _gram(x, w)
         xty = _xt(x, w * ds.effects())
-    rhs = np.concatenate([xty[:, None], np.eye(x.cols)], axis=1)
-    fit = _gls_solve(gram, rhs)
-    d_hat = fit.solution[:, 0].copy()
-    cov = fit.solution[:, 1:]
-    return d_hat, 0.5 * (cov + cov.T), fit.log_det, _x_times(x, d_hat)
+    if not np.isfinite(gram).all():
+        raise NumericError(
+            "X'WX overflows: an extreme weight 1/(s_i^2 + tau^2) makes the Gram matrix "
+            "exceed the float range"
+        )
+    try:
+        fit = solve_spd(gram, xty[..., None])
+    except NumericError:
+        # a connected network's X'WX is positive definite: rounding lost the small weights
+        w = np.atleast_2d(w)[np.argmax(np.max(w, -1) / np.min(w, -1))]
+        i = int(np.argmax(w))
+        raise EstimationError(
+            f"X'WX is not positive definite in floating point: study {ds.studies[i].study_id!r} "
+            f"has weight 1/(s_i^2 + tau^2) = {w[i]:.3g}, {w[i] / w.min():.3g} times the "
+            "smallest, and the other weights are lost in rounding against it"
+        ) from None
+    d_hat = fit.solution[..., 0]
+    return d_hat, fit.lower, fit.log_det, _x_times(x, d_hat)
+
+
+def _cov(lower: np.ndarray) -> np.ndarray:
+    """C = (L L')^-1 = L^-T L^-1; numpy forms A.T @ A by a symmetric update, so C = C'."""
+    inv = np.linalg.inv(lower)
+    return inv.T @ inv
+
+
+def _restricted_loglik(sigma2: np.ndarray, log_det, resid: np.ndarray):
+    """l_R = -1/2 [log det Sigma + log det X'Sigma^-1 X + r'Sigma^-1 r], per row of a stack."""
+    return -0.5 * (np.sum(np.log(sigma2), axis=-1) + log_det + np.sum(resid**2 / sigma2, axis=-1))
 
 
 def _fit(ds: NetworkDataset, kind: ModelKind, tau2: float, ci_level: float) -> ModelFit:
@@ -237,9 +242,9 @@ def _fit(ds: NetworkDataset, kind: ModelKind, tau2: float, ci_level: float) -> M
     _check_ci_level(ci_level)
     y = ds.effects()
     sigma2 = ds.variances() + tau2
-    d_hat, cov, _, fitted = _wls(ds, sigma2)
+    d_hat, lower, _, fitted = _gls(ds, sigma2)
     return ModelFit(
-        kind, d_hat, cov, fitted, y - fitted, log_likelihood(y, fitted, sigma2),
+        kind, d_hat, _cov(lower), fitted, y - fitted, log_likelihood(y, fitted, sigma2),
         ci_level, ds.design.column_treatments, ds.reference,
         tau2=None if kind is ModelKind.FE else float(tau2),
     )
@@ -324,17 +329,9 @@ def estimate_tau2_dl(ds: NetworkDataset, fe: ModelFit) -> float:
 
 def _reml_values(grid: np.ndarray, ds: NetworkDataset) -> np.ndarray:
     """l_R at every tau^2 of ``grid``: one stacked Gram, Cholesky and solve."""
-    x = ds.design
-    y = ds.effects()
     sigma2 = ds.variances() + grid[:, None]
-    w = 1.0 / sigma2
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = _gram(x, w)
-        xty = _xt(x, w * y)
-    fit = _gls_solve(gram, xty[..., None])
-    resid = y - _x_times(x, fit.solution[..., 0])
-    quad = np.sum(resid**2 / sigma2, axis=-1)
-    return -0.5 * (np.sum(np.log(sigma2), axis=-1) + fit.log_det + quad)
+    _, _, log_det, fitted = _gls(ds, sigma2)
+    return _restricted_loglik(sigma2, log_det, ds.effects() - fitted)
 
 
 def reml_objective(tau2: float, ds: NetworkDataset) -> float:
@@ -353,7 +350,7 @@ def reml_objective(tau2: float, ds: NetworkDataset) -> float:
 def _reml_newton_terms(tau2: float, ds: NetworkDataset):
     """l_R(tau2), its score and the observed information -d^2 l_R / d tau2^2.
 
-    With W = (V + tau2 I)^-1, C = (X'WX)^-1 from ``_wls``,
+    With W = (V + tau2 I)^-1, C = (X'WX)^-1 from ``_gls`` and ``_cov``,
     P = W - W X C X' W and r the GLS residuals (so P y = W r):
 
     * score       = 1/2 [ (Wr)'(Wr) - tr P ]
@@ -368,10 +365,11 @@ def _reml_newton_terms(tau2: float, ds: NetworkDataset):
     x = ds.design
     sigma2 = ds.variances() + tau2
     w = 1.0 / sigma2
-    _, c, log_det, fitted = _wls(ds, sigma2)
+    _, lower, log_det, fitted = _gls(ds, sigma2)
+    c = _cov(lower)
     resid = ds.effects() - fitted
     py = w * resid
-    value = -0.5 * (float(np.sum(np.log(sigma2))) + log_det + float(np.sum(py * resid)))
+    value = float(_restricted_loglik(sigma2, log_det, resid))
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = w * w
         lev = _leverages(x, c)

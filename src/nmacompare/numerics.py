@@ -83,11 +83,13 @@ def single_blas_thread(func):
 class SpdSolveResult:
     """Solution of A x = b for symmetric positive definite A, plus log det(A).
 
-    For a stack of k systems both fields carry a leading axis of length k.
+    ``lower`` is the Cholesky factor L of A = L L', so A^-1 = L^-T L^-1. For a
+    stack of k systems every field has a leading axis of length k.
     """
 
     solution: np.ndarray
     log_det: float | np.ndarray
+    lower: np.ndarray
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> SpdSolveResult:
@@ -127,7 +129,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> SpdSolveResult:
     solution = np.linalg.solve(np.swapaxes(lower, -2, -1), np.linalg.solve(lower, b))
     if vector:
         solution = solution[..., 0]
-    return SpdSolveResult(solution, log_det if stacked else float(log_det))
+    return SpdSolveResult(solution, log_det if stacked else float(log_det), lower)
 
 
 def chi_square_sf(x: float, df: int) -> float:

@@ -94,6 +94,15 @@ OVERFLOW_REML_BOUND = _four_study_md([1e160, 1e160, 2e160, 2e160])
 OVERFLOW_GRAM = _four_study_md([0.1, 0.2, 0.5, 0.7], ses=(1e-154, 1e-154, 1, 1))
 # One A-B weight of 1e300: X'WX is finite, w^2 in the DL trace term is not.
 OVERFLOW_DL_TRACE = _four_study_md([0.1, 0.2, 0.5, 0.7], ses=(1e-150, 1, 1, 1))
+# Connected, but the B-C weight of 1e300 absorbs every other entry of X'WX,
+# which is then singular in floating point.
+SWAMPED_GRAM = _md_network(
+    [("A", "B", 0.1, 1), ("A", "B", 0.2, 1), ("A", "C", 0.5, 1), ("B", "C", 0.7, 1e-150)]
+)
+# Weights 1 and 2^80: the full network fits; without s2, X'WX = 2^80 [[1, -1], [-1, 1]].
+SWAMPED_GRAM_LOO = _md_network(
+    [("A", "B", 0.1, 1), ("A", "B", 0.2, 2.0**-40), ("A", "C", 0.5, 1), ("B", "C", 0.7, 2.0**-40)]
+)
 
 
 # An inconsistent triangle with var(y) = 0: the REML search bound is 0.001,

@@ -23,7 +23,6 @@ from nmacompare import (
     compare_models,
     exclude_and_refit,
     leave_one_out,
-    load_dataset,
 )
 
 from nmacompare import analysis, models
@@ -125,12 +124,6 @@ class TestCompareModels:
         with pytest.raises(EstimationError, match=f"unknown tau method {method!r}"):
             compare_models(smoke, method)
 
-    def test_fits_never_build_the_dense_design_matrix(self, corpus_dir):
-        ds = load_dataset(corpus_dir / "nsaid_pain_relief.json")
-        for method in TauMethod:
-            compare_models(ds, method)
-        assert "matrix" not in vars(ds.design)
-
 
 class TestExcludeAndRefit:
     def test_nsaid_outlier(self, nsaid):
@@ -168,6 +161,8 @@ class TestExcludeAndRefit:
     def test_empty_exclusion(self, nsaid):
         with pytest.raises(DatasetError, match="no studies named"):
             exclude_and_refit(nsaid, [])
+        with pytest.raises(DatasetError, match="exclusion removes every study"):
+            exclude_and_refit(nsaid, [obs.study_id for obs in nsaid.studies])
 
     def test_removing_treatments_last_study_fails(self):
         ds = make_dataset(

@@ -23,6 +23,8 @@ from conftest import (
     OVERFLOW_REML_BOUND,
     REML_TOP_EDGE,
     REML_TOP_EDGE_LOO,
+    SWAMPED_GRAM,
+    SWAMPED_GRAM_LOO,
     blas_threads,
     needs_openblas_threads,
 )
@@ -130,6 +132,21 @@ def test_dl_trace_overflow_exits_1_naming_it(capsys, tmp_path):
     code, out, err = run(capsys, "compare", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: moment estimator trace term") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["compare", "--tau-method", "reml"], ["qdecomp"]])
+def test_swamped_gram_exits_1_naming_the_study(capsys, tmp_path, argv):
+    """A connected network whose X'WX is singular only in floating point; once "rank-deficient"."""
+    path = tmp_path / "swamped.json"
+    path.write_text(SWAMPED_GRAM)
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: X'WX is not positive definite in floating point: study 's4' has weight "
+        "1/(s_i^2 + tau^2) = 1e+300, 1e+300 times the smallest, and the other weights are "
+        "lost in rounding against it\n"
+    )
 
 
 @needs_openblas_threads
@@ -361,6 +378,18 @@ class TestLoo:
         assert lines[4] == (
             "s4,yes,REML maximizer lies beyond the search bound "
             "10 var(y) + 10 max(s_i^2) = 0.001,,,,,"
+        )
+
+    @pytest.mark.parametrize("method", ["dl", "reml"])
+    def test_refit_with_swamped_gram_is_skipped(self, capsys, tmp_path, method):
+        path = tmp_path / "swamped.json"
+        path.write_text(SWAMPED_GRAM_LOO)
+        code, out, _ = run(capsys, "loo", "--tau-method", method, str(path))
+        assert code == 0
+        assert out.splitlines()[2] == (
+            "s2,yes,\"X'WX is not positive definite in floating point: study 's4' has weight "
+            "1/(s_i^2 + tau^2) = 1.21e+24, 1.21e+24 times the smallest, and the other weights "
+            "are lost in rounding against it\",,,,,"
         )
 
 

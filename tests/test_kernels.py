@@ -1,4 +1,4 @@
-"""Endpoint-index kernels against the dense design-matrix formulas they replace."""
+"""Endpoint-index kernels and the GLS routine against dense formulas and exact identities."""
 
 from __future__ import annotations
 
@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmacompare import NetworkDataset, fit_fe, reml_objective
+from nmacompare import (
+    ContrastObservation,
+    EffectMeasure,
+    NetworkDataset,
+    estimate_tau2_dl,
+    estimate_tau2_reml,
+    fit_fe,
+    fit_re,
+    reml_objective,
+)
 from nmacompare import models
 
 from conftest import dense_design, random_network
@@ -48,7 +57,8 @@ def test_index_kernels_match_dense_formulas(ds, tau2):
     d = rng.normal(size=x.cols)
     _close(models._x_times(x, d), mat @ d, absx @ np.abs(d))
 
-    _, c, _, _ = models._wls(ds, 1.0 / w)
+    _, lower, _, _ = models._gls(ds, 1.0 / w)
+    c = models._cov(lower)
     lev = models._leverages(x, c)
     _close(lev, np.sum((mat @ c) * mat, axis=1), np.sum(absx @ np.abs(c) * absx, axis=1))
 
@@ -99,3 +109,57 @@ def test_stacked_kernels_equal_row_by_row(k):
     for j in range(k):
         np.testing.assert_array_equal(gram[j], models._gram(ds.design, w[j]))
         np.testing.assert_array_equal(xty[j], models._xt(ds.design, w[j] * ds.effects()))
+
+
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(networks(), st.floats(0.0, 2.0))
+def test_newton_value_is_the_objective(ds, tau2):
+    """The scan and the Newton step share one l_R: equal to the last bit."""
+    assert models._reml_newton_terms(tau2, ds)[0] == reml_objective(tau2, ds)
+
+
+@pytest.mark.parametrize("name", ["smoke", "nsaid", "biologics"])
+def test_newton_value_is_the_objective_on_the_corpus(request, name):
+    ds = request.getfixturevalue(name)
+    for tau2 in (0.0, 1e-3, 0.1, 1.0, estimate_tau2_reml(ds)):
+        assert models._reml_newton_terms(tau2, ds)[0] == reml_objective(tau2, ds)
+
+
+def wide_network(n: int = 300, m: int = 5000) -> NetworkDataset:
+    """A connected MD network of n treatments and m studies: a random tree plus random pairs."""
+    rng = np.random.default_rng([n, m])
+    a = np.concatenate((rng.integers(0, np.arange(1, n)), rng.integers(0, n, m - n + 1)))
+    b = np.concatenate((np.arange(1, n), (a[n - 1:] + rng.integers(1, n, m - n + 1)) % n))
+    effects = rng.normal(0.0, 1.0, n)[b] - rng.normal(0.0, 1.0, n)[a] + rng.normal(0.0, 0.5, m)
+    ses = rng.uniform(0.2, 1.0, m)
+    return NetworkDataset("wide", EffectMeasure.MD, tuple(
+        ContrastObservation(f"s{i}", f"T{a[i]}", f"T{b[i]}", float(effects[i]), float(ses[i]))
+        for i in range(m)
+    ))
+
+
+def _check_cov(ds, fit):
+    """fit.cov is C = L^-T L^-1 of X'WX's Cholesky factor: exactly symmetric, and C X'WX = I."""
+    sigma2 = ds.variances() + (fit.tau2 or 0.0)
+    c = models._cov(models._gls(ds, sigma2)[1])
+    np.testing.assert_array_equal(fit.cov, c)
+    np.testing.assert_array_equal(fit.cov, fit.cov.T)
+    gram = models._gram(ds.design, 1.0 / sigma2)
+    p = len(gram)
+    kappa = np.linalg.norm(c, np.inf) * np.linalg.norm(gram, np.inf)
+    assert np.abs(c @ gram - np.eye(p)).max() <= 4 * p * np.finfo(float).eps * kappa
+
+
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(networks(), st.floats(0.0, 2.0))
+def test_fit_cov_from_the_factor(ds, tau2):
+    _check_cov(ds, fit_fe(ds))
+    _check_cov(ds, fit_re(ds, tau2))
+
+
+def test_fit_cov_from_the_factor_at_300_treatments():
+    ds = wide_network()
+    assert (ds.n_treatments, ds.n_studies) == (300, 5000)
+    fe = fit_fe(ds)
+    for fit in (fe, fit_re(ds, estimate_tau2_dl(ds, fe))):
+        _check_cov(ds, fit)
