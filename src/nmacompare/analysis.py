@@ -16,13 +16,22 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .dataset import DatasetError, EffectMeasure, NetworkDataset, load_dataset
-from .heterogeneity import QDecomposition, ScreenResult, q_decompose
+import numpy as np
+
+from .dataset import (
+    DatasetError, DesignMatrix, EffectMeasure, NetworkDataset, _designs, load_dataset,
+)
+from .heterogeneity import QDecomposition, ScreenResult, _decomposition, q_decompose
 from .models import (
     DEFAULT_CI_LEVEL,
     EstimationError,
     ModelFit,
     ModelKind,
+    _cov,
+    _gls_rows,
+    _log_lik_rows,
+    _moment_terms,
+    _reml_rows,
     estimate_tau2_dl,
     estimate_tau2_reml,
     fit_fe,
@@ -139,13 +148,26 @@ def compare_models(
     q = q_decompose(ds, fe)
     re = fit_random_effects(ds, fe, tau_method, ci_level)
     me = fit_me(ds, fe)
+    return _report(ds, ds.n_studies, tau_method, fe, q, re, me)
+
+
+def _report(
+    ds: NetworkDataset,
+    m: int,
+    tau_method: TauMethod,
+    fe: ModelFit,
+    q: QDecomposition,
+    re: ModelFit,
+    me: ModelFit,
+) -> ComparisonReport:
+    """The comparison of ``m`` studies of ``ds`` (all, or all but the excluded) from its fits."""
     delta = me.aic - re.aic
     untestable = q.df_het == 0
     return ComparisonReport(
         dataset=ds.name,
         measure=ds.measure,
         tau_method=tau_method,
-        m=ds.n_studies,
+        m=m,
         n=ds.n_treatments,
         n_designs=len(q.per_design),
         fe=fe,
@@ -174,6 +196,17 @@ class SensitivityRecord:
     reason: str | None = None
 
 
+def _record(
+    excluded: tuple[str, ...], refit: ComparisonReport, baseline: ComparisonReport
+) -> SensitivityRecord:
+    return SensitivityRecord(
+        excluded=excluded,
+        report=refit,
+        q_het_delta=refit.q.q_het - baseline.q.q_het,
+        delta_aic_delta=refit.delta_aic - baseline.delta_aic,
+    )
+
+
 def _refit(
     ds: NetworkDataset,
     baseline: ComparisonReport,
@@ -187,13 +220,7 @@ def _refit(
         raise DatasetError(
             "exclusion removes the last study of treatment(s): " + ", ".join(lost)
         )
-    refit = compare_models(sub, tau_method, ci_level)
-    return SensitivityRecord(
-        excluded=excluded,
-        report=refit,
-        q_het_delta=refit.q.q_het - baseline.q.q_het,
-        delta_aic_delta=refit.delta_aic - baseline.delta_aic,
-    )
+    return _record(excluded, compare_models(sub, tau_method, ci_level), baseline)
 
 
 def exclude_and_refit(
@@ -215,21 +242,178 @@ def exclude_and_refit(
     return _refit(ds, baseline, excluded, tau_method, ci_level)
 
 
+# The refits of ``leave_one_out`` are solved together in blocks; no stacked
+# array of a block holds much more than this many elements.
+_LOO_BLOCK_ELEMENTS = 1 << 16
+
+
 def leave_one_out(
     ds: NetworkDataset,
     tau_method: TauMethod = TauMethod.DL,
     ci_level: float = DEFAULT_CI_LEVEL,
 ) -> list[SensitivityRecord]:
-    """Refit with each study excluded in turn; infeasible removals are marked skipped."""
+    """Refit with each study excluded in turn; infeasible removals are marked skipped.
+
+    Record i equals ``exclude_and_refit(ds, [study i])``, or is skipped with
+    that call's error message. The refits are solved together rather than one
+    by one: row r of a stack holds the studies that refit r keeps, so the FE
+    fits of a block of refits are one stacked solve, as are their RE fits and
+    each point of the REML scan, and the REML Newton steps run in lockstep. A
+    block holds about ``_LOO_BLOCK_ELEMENTS`` elements per array, so memory
+    grows as block x (m + p^2), not m^2. A refit that would lose a treatment,
+    disconnect the network or leave no residual degrees of freedom, or whose
+    stacked fit fails or comes out non-finite, runs on its own as in
+    ``exclude_and_refit``, which gives its exact record or error message.
+    """
     baseline = compare_models(ds, tau_method, ci_level)
-    records = []
-    for obs in ds.studies:
+    m, p = ds.n_studies, ds.design.cols
+    stacked = np.flatnonzero(_keeps_network(ds) & (m - 1 > p))
+    size = max(1, _LOO_BLOCK_ELEMENTS // (4 * m + (p + 1) ** 2))
+    records: dict[int, SensitivityRecord] = {}
+    for start in range(0, len(stacked), size):
+        block = stacked[start:start + size]
+        records.update(_refit_block(ds, baseline, block, tau_method, ci_level))
+    return [
+        records.get(i) or _refit_or_skip(ds, baseline, obs.study_id, tau_method, ci_level)
+        for i, obs in enumerate(ds.studies)
+    ]
+
+
+def _refit_or_skip(
+    ds: NetworkDataset,
+    baseline: ComparisonReport,
+    study_id: str,
+    tau_method: TauMethod,
+    ci_level: float,
+) -> SensitivityRecord:
+    try:
+        return _refit(ds, baseline, (study_id,), tau_method, ci_level)
+    except ANALYSIS_ERRORS as exc:
+        return SensitivityRecord((study_id,), None, None, None, skipped=True, reason=str(exc))
+
+
+def _bridges(n: int, edges: list[tuple[int, int]]) -> set[int]:
+    """Indices of the edges whose removal disconnects a connected simple graph on 0..n-1.
+
+    Iterative depth-first search (Tarjan 1974): the edge into a node is a
+    bridge when no edge from the node's subtree reaches above it.
+    """
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        adjacent[a].append((b, e))
+        adjacent[b].append((a, e))
+    order, low = [-1] * n, [0] * n
+    order[0] = seen = 0
+    stack = [(0, -1, iter(adjacent[0]))]
+    bridges = set()
+    while stack:
+        node, via, rest = stack[-1]
+        for nxt, e in rest:
+            if order[nxt] < 0:
+                seen += 1
+                order[nxt] = low[nxt] = seen
+                stack.append((nxt, e, iter(adjacent[nxt])))
+                break
+            if e != via:
+                low[node] = min(low[node], order[nxt])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[node])
+                if low[node] > order[parent]:
+                    bridges.add(via)
+    return bridges
+
+
+def _keeps_network(ds: NetworkDataset) -> np.ndarray:
+    """Per study: removing it keeps every treatment and a connected network."""
+    n = ds.n_treatments
+    a, b = ds.codes
+    per_treatment = np.bincount(ds.codes.ravel(), minlength=n)
+    sole = np.bincount(ds.design_ids)[ds.design_ids] == 1
+    bridge = np.zeros(len(ds.design_pairs), dtype=bool)
+    bridge[list(_bridges(n, [divmod(c, n) for c in ds.design_pairs.tolist()]))] = True
+    return (per_treatment[a] > 1) & (per_treatment[b] > 1) & ~(sole & bridge[ds.design_ids])
+
+
+def _refit_block(
+    ds: NetworkDataset,
+    baseline: ComparisonReport,
+    drop: np.ndarray,
+    tau_method: TauMethod,
+    ci_level: float,
+) -> dict[int, SensitivityRecord]:
+    """Records of the refits without each study in ``drop``, all solved together.
+
+    Row r of every stack holds the m - 1 studies the refit without study
+    ``drop[r]`` keeps, in dataset order, so each row's sums run over the same
+    terms in the same order as that refit's own. A refit whose fits fail or
+    come out non-finite is left out, for the caller's per-refit path.
+    """
+    m, x = ds.n_studies, ds.design
+    base = np.arange(m - 1)
+    keep = base + (base >= drop[:, None])
+    xs = DesignMatrix(x.a_idx[keep], x.b_idx[keep], x.column_treatments)
+    y, v, w = ds.effects()[keep], ds.variances()[keep], ds.weights()[keep]
+    df = m - 1 - x.cols
+
+    # a row that overflows is refit on its own path, which reports the overflow
+    with np.errstate(all="ignore"):
+        fe = _gls_rows(xs, y, v)
+        fe_cov = _cov(fe.lower)
+        fe_resid = y - fe.fitted
+        fe_ll, ok = _log_lik_rows(y, fe.fitted, v)
+        q_tot = np.sum(fe_resid * fe_resid * w, axis=-1)
+        ok &= fe.ok & np.isfinite(q_tot)
+        if tau_method is TauMethod.DL:
+            trace, denom = _moment_terms(xs, w, fe_cov)
+            ratio = (q_tot - df) / denom
+            tau2, kind = np.where(ratio > 0.0, ratio, 0.0), ModelKind.RE_DL
+            ok &= np.isfinite(trace) & (denom > 0)
+        else:
+            (tau2, solved), kind = _reml_rows(xs, y, v), ModelKind.RE_REML
+            ok &= solved
+        re_sigma2 = v + tau2[:, None]
+        re = _gls_rows(xs, y, re_sigma2)
+        re_cov = _cov(re.lower)
+        re_ll, re_finite = _log_lik_rows(y, re.fitted, re_sigma2)
+        ratio = q_tot / df
+        phi = np.where(ratio > 1.0, ratio, 1.0)
+        me_ll, me_finite = _log_lik_rows(y, fe.fitted, phi[:, None] * v)
+    ok &= re.ok & re_finite & me_finite
+
+    a, b = ds.codes
+    signs = np.where(a < b, 1.0, -1.0)[keep]
+    gone = (np.bincount(ds.design_ids) == 1)[ds.design_ids[drop]]
+    design_ids = ds.design_ids[keep]
+    design_ids -= gone[:, None] & (design_ids > ds.design_ids[drop][:, None])
+    columns, reference = x.column_treatments, ds.reference
+    records = {}
+    for r in np.flatnonzero(ok).tolist():
+        i = int(drop[r])
+        pairs = np.delete(ds.design_pairs, ds.design_ids[i]) if gone[r] else ds.design_pairs
         try:
-            records.append(_refit(ds, baseline, (obs.study_id,), tau_method, ci_level))
-        except ANALYSIS_ERRORS as exc:
-            records.append(
-                SensitivityRecord((obs.study_id,), None, None, None, skipped=True, reason=str(exc))
+            q = _decomposition(
+                _designs(ds.treatments, pairs, design_ids[r]), design_ids[r], w[r],
+                y[r] * signs[r], fe.fitted[r] * signs[r], x.cols, float(q_tot[r]),
             )
+        except NumericError:  # a NaN Q_het or Q_inc has no chi-square tail
+            continue
+        fe_fit = ModelFit(
+            ModelKind.FE, fe.d_hat[r], fe_cov[r], fe.fitted[r], fe_resid[r],
+            float(fe_ll[r]), ci_level, columns, reference,
+        )
+        re_fit = ModelFit(
+            kind, re.d_hat[r], re_cov[r], re.fitted[r], y[r] - re.fitted[r],
+            float(re_ll[r]), ci_level, columns, reference, tau2=float(tau2[r]),
+        )
+        me_fit = ModelFit(
+            ModelKind.ME, fe_fit.d_hat, phi[r] * fe_fit.cov, fe_fit.fitted, fe_fit.residuals,
+            float(me_ll[r]), ci_level, columns, reference, phi=float(phi[r]),
+        )
+        report = _report(ds, m - 1, tau_method, fe_fit, q, re_fit, me_fit)
+        records[i] = _record((ds.studies[i].study_id,), report, baseline)
     return records
 
 

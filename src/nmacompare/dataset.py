@@ -250,12 +250,17 @@ class Design(NamedTuple):
 
 def group_designs(ds: NetworkDataset) -> list[Design]:
     """Partition the studies into designs, sorted by canonical pair."""
-    n, t = ds.n_treatments, ds.treatments
-    order = np.argsort(ds.design_ids, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(ds.design_ids)).tolist()
+    return _designs(ds.treatments, ds.design_pairs, ds.design_ids)
+
+
+def _designs(treatments: tuple[str, ...], pairs: np.ndarray, design_ids: np.ndarray) -> list[Design]:
+    """Designs from the pair codes lo * n + hi and each study's index into them."""
+    n = len(treatments)
+    order = np.argsort(design_ids, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(design_ids)).tolist()
     return [
-        Design((t[code // n], t[code % n]), tuple(order[start:end]))
-        for code, start, end in zip(ds.design_pairs.tolist(), [0] + ends, ends)
+        Design((treatments[code // n], treatments[code % n]), tuple(order[start:end]))
+        for code, start, end in zip(pairs.tolist(), [0] + ends, ends)
     ]
 
 
@@ -273,7 +278,9 @@ class DesignMatrix:
     lo/hi = min/max(a, b), their flat positions in a (cols + 1)^2 matrix:
     one ``np.bincount`` with weights (w, w, -w, -w) gives X'WX as the
     weighted Laplacian of the network, exactly symmetric. ``xt_index`` is
-    (b_idx, a_idx) for X'v as one bincount of (v, -v).
+    (b_idx, a_idx) for X'v as one bincount of (v, -v). (k, m) ``a_idx`` and
+    ``b_idx`` hold a stack of k designs over the same columns, one per row, and
+    the indices are then built per row.
     """
 
     a_idx: np.ndarray
@@ -287,12 +294,14 @@ class DesignMatrix:
         b = np.asarray(self.b_idx, dtype=np.intp)
         size = self.cols + 1
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        gram_index = np.concatenate((a * size + a, b * size + b, lo * size + hi, hi * size + lo))
+        gram_index = np.concatenate(
+            (a * size + a, b * size + b, lo * size + hi, hi * size + lo), axis=-1
+        )
         for name, arr in (
             ("a_idx", a),
             ("b_idx", b),
             ("gram_index", gram_index),
-            ("xt_index", np.concatenate((b, a))),
+            ("xt_index", np.concatenate((b, a), axis=-1)),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -115,15 +115,26 @@ def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
     design means, Q_het per design and, with the FE fitted values, Q_inc, in
     one pass over the studies.
     """
-    designs = group_designs(ds)
-    w = ds.weights()
-    m = ds.n_studies
-    n_effects = ds.design.cols
-
-    design_id = ds.design_ids
     a, b = ds.codes
     signs = np.where(a < b, 1.0, -1.0)  # +1 where treat_a is the lower label
-    y_c = ds.effects() * signs
+    return _decomposition(
+        group_designs(ds), ds.design_ids, ds.weights(), ds.effects() * signs,
+        fe.fitted * signs, ds.design.cols, q_total(ds, fe),
+    )
+
+
+def _decomposition(
+    designs: list[Design],
+    design_id: np.ndarray,
+    w: np.ndarray,
+    y_c: np.ndarray,
+    fitted_c: np.ndarray,
+    n_effects: int,
+    q_tot: float,
+) -> QDecomposition:
+    """``q_decompose`` from the designs, each study's design index, weight, and
+    effect and FE fitted value in the canonical orientation of its design."""
+    m = len(w)
     pooled = np.bincount(design_id, w * y_c) / np.bincount(design_id, w)
     pooled_c = pooled[design_id]
     per_study_q = w * (y_c - pooled_c) ** 2
@@ -135,10 +146,10 @@ def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
     # A connected network with C = n-1 designs is a tree: the FE fit
     # reproduces every design mean exactly, so inconsistency is identically
     # zero and the computed value is rounding noise.
-    q_inc = float(np.sum(w * (pooled_c - fe.fitted * signs) ** 2)) if df_inc > 0 else 0.0
+    q_inc = float(np.sum(w * (pooled_c - fitted_c) ** 2)) if df_inc > 0 else 0.0
 
     return QDecomposition(
-        q_total=q_total(ds, fe),
+        q_total=q_tot,
         q_het=q_het,
         q_inc=q_inc,
         df_het=df_het,

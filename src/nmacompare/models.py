@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,16 +136,23 @@ def log_likelihood(y: np.ndarray, mean: np.ndarray, cov_diag: np.ndarray) -> flo
     cov_diag = np.asarray(cov_diag, dtype=float)
     if np.any(cov_diag <= 0):
         raise EstimationError("non-positive variance in likelihood")
-    m = y.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad = float(np.sum((y - mean) ** 2 / cov_diag))
-        log_det = float(np.sum(np.log(cov_diag)))
-    if not (math.isfinite(quad) and math.isfinite(log_det)):
+    log_lik, finite = _log_lik_rows(y, mean, cov_diag)
+    if not finite:
         raise NumericError(
             "log-likelihood overflows: the weighted squared residuals or the variances "
             "exceed the float range"
         )
-    return -0.5 * (m * math.log(2.0 * math.pi) + log_det + quad)
+    return float(log_lik)
+
+
+def _log_lik_rows(y: np.ndarray, mean: np.ndarray, cov_diag: np.ndarray):
+    """``log_likelihood`` per row of a stack without its checks: (log L, whether its
+    quadratic form and log det are finite)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        quad = np.sum((y - mean) ** 2 / cov_diag, axis=-1)
+        log_det = np.sum(np.log(cov_diag), axis=-1)
+        log_lik = -0.5 * (y.shape[-1] * math.log(2.0 * math.pi) + log_det + quad)
+    return log_lik, np.isfinite(quad) & np.isfinite(log_det)
 
 
 def _check_ci_level(ci_level: float) -> None:
@@ -153,12 +161,20 @@ def _check_ci_level(ci_level: float) -> None:
 
 
 def _bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sums of ``weights`` into ``size`` bins by ``index``, per row of a 2-D ``weights``."""
+    """Sums of ``weights`` into ``size`` bins by ``index``, per row of a 2-D ``weights``.
+
+    ``index`` is one row shared by every row of ``weights``, or a row per row.
+    """
     if weights.ndim == 1:
         return np.bincount(index, weights, minlength=size)
     k = weights.shape[0]
     index = (index + size * np.arange(k)[:, None]).ravel()
     return np.bincount(index, weights.ravel(), minlength=k * size).reshape(k, size)
+
+
+def _rows(x: DesignMatrix):
+    """Index that pairs row r of a stack with row r of a stacked design; ``...`` for one design."""
+    return np.arange(len(x.a_idx))[:, None] if x.a_idx.ndim == 2 else ...
 
 
 def _gram(x: DesignMatrix, w: np.ndarray) -> np.ndarray:
@@ -182,54 +198,95 @@ def _x_times(x: DesignMatrix, d: np.ndarray) -> np.ndarray:
     """X d, per row of a 2-D ``d``: d_b - d_a for each study, the reference at 0."""
     pad = np.zeros(d.shape[:-1] + (x.cols + 1,))
     pad[..., :-1] = d
-    return pad[..., x.b_idx] - pad[..., x.a_idx]
+    rows = _rows(x)
+    return pad[rows, x.b_idx] - pad[rows, x.a_idx]
 
 
 def _leverages(x: DesignMatrix, c: np.ndarray) -> np.ndarray:
-    """x_i' C x_i = (C_bb - C_ab) + (C_aa - C_ab) for each study, for symmetric C."""
-    pad = np.zeros((x.cols + 1, x.cols + 1))
-    pad[:-1, :-1] = c
-    a, b = x.a_idx, x.b_idx
-    c_ab = pad[a, b]
-    return (pad[b, b] - c_ab) + (pad[a, a] - c_ab)
+    """x_i' C x_i = (C_bb - C_ab) + (C_aa - C_ab) for each study, per matrix of a stack ``c``."""
+    pad = np.zeros(c.shape[:-2] + (x.cols + 1, x.cols + 1))
+    pad[..., :-1, :-1] = c
+    rows, a, b = _rows(x), x.a_idx, x.b_idx
+    c_ab = pad[rows, a, b]
+    return (pad[rows, b, b] - c_ab) + (pad[rows, a, a] - c_ab)
 
 
-def _gls(ds: NetworkDataset, sigma2: np.ndarray):
+class _GlsFit(NamedTuple):
+    """``_gls_rows``'s result; ``finite`` and ``ok`` are per row of a stack."""
+
+    d_hat: np.ndarray
+    lower: np.ndarray
+    log_det: float | np.ndarray
+    fitted: np.ndarray
+    finite: np.ndarray
+    ok: np.ndarray
+
+
+def _factors(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _gls_rows(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray) -> _GlsFit:
     """Generalized least squares for E(y) = X d with diagonal covariance ``sigma2``.
 
-    Returns (d_hat, L, log det X'WX, fitted) with W = diag(1 / sigma2), X'WX built
-    by ``np.bincount`` in O(m) and L its Cholesky factor; ``_cov(L)`` is the
-    covariance of d_hat. A (k, m) ``sigma2`` gives a stack of each result.
+    Gives d_hat, the Cholesky factor L of X'WX with W = diag(1 / sigma2),
+    log det X'WX and the fitted values; X'WX is built by ``np.bincount`` in
+    O(m) and ``_cov(L)`` is the covariance of d_hat. A (k, m) ``sigma2`` gives
+    a stack of each result, and a stacked design ``x`` and ``y`` give each row
+    its own studies. Never raises: ``finite`` is False where X'WX overflows and
+    ``ok`` also where it does not factor; such a row is solved against the
+    identity instead, and its results mean nothing.
     """
-    x = ds.design
     w = 1.0 / sigma2
     with np.errstate(over="ignore", invalid="ignore"):
         gram = _gram(x, w)
-        xty = _xt(x, w * ds.effects())
-    if not np.isfinite(gram).all():
+        xty = _xt(x, w * y)
+    finite = ok = np.isfinite(gram).all(axis=(-2, -1))
+    if not finite.all():
+        gram[~finite] = np.eye(x.cols)
+    try:
+        fit = solve_spd(gram, xty[..., None])
+    except NumericError:
+        # the one error left for an exactly symmetric, finite X'WX
+        factors = [_factors(g) for g in gram.reshape(-1, x.cols, x.cols)]
+        ok = finite & np.reshape(factors, finite.shape)
+        gram[~ok] = np.eye(x.cols)
+        fit = solve_spd(gram, xty[..., None])
+    d_hat = fit.solution[..., 0]
+    return _GlsFit(d_hat, fit.lower, fit.log_det, _x_times(x, d_hat), finite, ok)
+
+
+def _gls(ds: NetworkDataset, sigma2: np.ndarray):
+    """``_gls_rows`` on the studies of ``ds`` as (d_hat, L, log det X'WX, fitted), raising
+    NumericError where X'WX overflows and EstimationError where it does not factor."""
+    fit = _gls_rows(ds.design, ds.effects(), sigma2)
+    if not fit.finite.all():
         raise NumericError(
             "X'WX overflows: an extreme weight 1/(s_i^2 + tau^2) makes the Gram matrix "
             "exceed the float range"
         )
-    try:
-        fit = solve_spd(gram, xty[..., None])
-    except NumericError:
+    if not fit.ok.all():
         # a connected network's X'WX is positive definite: rounding lost the small weights
-        w = np.atleast_2d(w)[np.argmax(np.max(w, -1) / np.min(w, -1))]
+        w = 1.0 / np.atleast_2d(sigma2)
+        w = w[np.argmax(np.max(w, -1) / np.min(w, -1))]
         i = int(np.argmax(w))
         raise EstimationError(
             f"X'WX is not positive definite in floating point: study {ds.studies[i].study_id!r} "
             f"has weight 1/(s_i^2 + tau^2) = {w[i]:.3g}, {w[i] / w.min():.3g} times the "
             "smallest, and the other weights are lost in rounding against it"
-        ) from None
-    d_hat = fit.solution[..., 0]
-    return d_hat, fit.lower, fit.log_det, _x_times(x, d_hat)
+        )
+    return fit.d_hat, fit.lower, fit.log_det, fit.fitted
 
 
 def _cov(lower: np.ndarray) -> np.ndarray:
-    """C = (L L')^-1 = L^-T L^-1; numpy forms A.T @ A by a symmetric update, so C = C'."""
+    """C = (L L')^-1 = L^-T L^-1, per matrix of a stack; numpy forms A'A by a symmetric
+    update, so C = C'."""
     inv = np.linalg.inv(lower)
-    return inv.T @ inv
+    return np.swapaxes(inv, -2, -1) @ inv
 
 
 def _restricted_loglik(sigma2: np.ndarray, log_det, resid: np.ndarray):
@@ -299,6 +356,14 @@ def fit_me(ds: NetworkDataset, fe: ModelFit) -> ModelFit:
     )
 
 
+def _moment_terms(x: DesignMatrix, w: np.ndarray, cov: np.ndarray):
+    """Trace term sum_i w_i^2 x_i' C x_i and denominator sum_i w_i - trace of the moment
+    estimator, per row of a stack; the trace overflows where a weight exceeds about 1e154."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.sum(w * w * _leverages(x, cov), axis=-1)
+    return trace, np.sum(w, axis=-1) - trace
+
+
 def estimate_tau2_dl(ds: NetworkDataset, fe: ModelFit) -> float:
     """Method-of-moments (DerSimonian-Laird type) between-study variance.
 
@@ -309,22 +374,40 @@ def estimate_tau2_dl(ds: NetworkDataset, fe: ModelFit) -> float:
     term is sum_i w_i^2 x_i' Cov_FE x_i, with Cov_FE = (X'WX)^-1 taken from
     ``fe``, the FE fit of the same dataset. It overflows when a weight
     exceeds about 1e154; that raises NumericError.
+
+    The denominator is sum_i w_i (1 - h_i) with leverages h_i = w_i x_i' C x_i,
+    positive in exact arithmetic whenever m > n - 1. Where one weight dwarfs
+    the others, sum w_i and the trace agree to rounding and the difference
+    comes out 0 or below; the EstimationError then names that study.
     """
     _require_fe(fe)
     x = ds.design
     df = _require_residual_df(ds, x.cols)
     w = ds.weights()
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = float(np.sum(w * w * _leverages(x, fe.cov)))
+    trace, denom = _moment_terms(x, w, fe.cov)
     if not math.isfinite(trace):
         raise NumericError(
             "moment estimator trace term sum w_i^2 x_i' C x_i overflows: "
             "an extreme weight 1/s_i^2 exceeds the float range when squared"
         )
-    denom = float(np.sum(w)) - trace
     if denom <= 0:
-        raise EstimationError("degenerate weight structure in moment estimator")
-    return max(0.0, (q_total(ds, fe) - df) / denom)
+        i = int(np.argmax(w))
+        raise EstimationError(
+            "moment estimator denominator sum w_i - sum w_i^2 x_i' C x_i comes out "
+            f"{float(denom):.3g} in floating point: study {ds.studies[i].study_id!r} has "
+            f"weight 1/s_i^2 = {w[i]:.3g}, {w[i] / w.min():.3g} times the smallest, and the "
+            "other weights are lost in rounding against it"
+        )
+    return max(0.0, (q_total(ds, fe) - df) / float(denom))
+
+
+def _reml_grid(y: np.ndarray, v: np.ndarray):
+    """The search bound 10 var(y) + 10 max(s_i^2) and the 16 scan points of
+    ``estimate_tau2_reml``, per row of a stack; a bound may come back non-finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        upper = 10.0 * np.var(y, axis=-1, ddof=1) + 10.0 * np.max(v, axis=-1)
+        geometric = np.geomspace(1e-2 * np.median(v, axis=-1), upper, 15, axis=-1)
+    return upper, np.concatenate((np.zeros(geometric.shape[:-1] + (1,)), geometric), axis=-1)
 
 
 def _reml_values(grid: np.ndarray, ds: NetworkDataset) -> np.ndarray:
@@ -347,10 +430,11 @@ def reml_objective(tau2: float, ds: NetworkDataset) -> float:
     return float(_reml_values(np.array([float(tau2)]), ds)[0])
 
 
-def _reml_newton_terms(tau2: float, ds: NetworkDataset):
-    """l_R(tau2), its score and the observed information -d^2 l_R / d tau2^2.
+def _newton_terms(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray, lower, log_det, fitted):
+    """l_R, its score and the observed information -d^2 l_R / d tau2^2, per row of a stack.
 
-    With W = (V + tau2 I)^-1, C = (X'WX)^-1 from ``_gls`` and ``_cov``,
+    ``lower``, ``log_det`` and ``fitted`` are the GLS fit at ``sigma2`` =
+    V + tau2 I. With W = (V + tau2 I)^-1, C = (X'WX)^-1 from ``_cov``,
     P = W - W X C X' W and r the GLS residuals (so P y = W r):
 
     * score       = 1/2 [ (Wr)'(Wr) - tr P ]
@@ -362,24 +446,77 @@ def _reml_newton_terms(tau2: float, ds: NetworkDataset):
     Extreme weights can overflow w^2 and w^3, so the score or information
     may come back non-finite, without a warning; the caller then bisects.
     """
-    x = ds.design
-    sigma2 = ds.variances() + tau2
     w = 1.0 / sigma2
-    _, lower, log_det, fitted = _gls(ds, sigma2)
     c = _cov(lower)
-    resid = ds.effects() - fitted
+    resid = y - fitted
     py = w * resid
-    value = float(_restricted_loglik(sigma2, log_det, resid))
+    value = _restricted_loglik(sigma2, log_det, resid)
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = w * w
         lev = _leverages(x, c)
-        tr_p = float(np.sum(w - w2 * lev))
-        score = 0.5 * (float(np.sum(py * py)) - tr_p)
-        ppy = py - _x_times(x, c @ _xt(x, w * py))
+        tr_p = np.sum(w - w2 * lev, axis=-1)
+        score = 0.5 * (np.sum(py * py, axis=-1) - tr_p)
+        ppy = py - _x_times(x, (c @ _xt(x, w * py)[..., None])[..., 0])
         k = c @ _gram(x, w2)
-        tr_p2 = float(np.sum(w2) - 2.0 * np.sum(w2 * w * lev) + np.sum(k * k.T))
-        info = float(np.sum(w * ppy * ppy)) - 0.5 * tr_p2
+        tr_p2 = (
+            np.sum(w2, axis=-1) - 2.0 * np.sum(w2 * w * lev, axis=-1)
+            + np.sum(k * np.swapaxes(k, -2, -1), axis=(-2, -1))
+        )
+        info = np.sum(w * ppy * ppy, axis=-1) - 0.5 * tr_p2
     return value, score, info
+
+
+def _reml_newton_terms(tau2: float, ds: NetworkDataset):
+    """``_newton_terms`` of ``ds`` at one tau^2, raising where ``_gls`` does."""
+    sigma2 = ds.variances() + tau2
+    return _newton_terms(ds.design, ds.effects(), sigma2, *_gls(ds, sigma2)[1:])
+
+
+def _reml_refine(grid: np.ndarray, values: np.ndarray, terms):
+    """The Newton refinement of ``estimate_tau2_reml``, run in lockstep over rows.
+
+    ``grid`` and ``values`` are (k, 16) scan points and their l_R; ``terms(t,
+    rows)`` gives l_R, score, information and an ok mask at tau^2 ``t`` for the
+    rows ``rows``. Each row keeps its own bracket and stops on its own rule.
+    Returns (tau2, beyond, ok) per row: ``beyond`` marks a maximizer past the
+    last scan point and ``ok`` is False where ``terms`` failed; the tau2 of
+    either means nothing.
+    """
+    rows = np.arange(len(grid))
+    best = np.argmax(values, axis=-1)
+    best_t, best_value = grid[rows, best], values[rows, best]
+    t = best_t.copy()
+    _, score, info, ok = (np.resize(term, len(grid)) for term in terms(t, rows))
+    last = grid.shape[-1] - 1
+    rising = score > 0
+    beyond = ok & rising & (best == last)
+    zero = ~rising & (best == 0)
+    lo = np.where(rising, t, grid[rows, np.maximum(best - 1, 0)])
+    hi = np.where(rising, grid[rows, np.minimum(best + 1, last)], t)
+    step = hi - lo
+    value = np.full(len(grid), np.nan)
+    live = ok & ~beyond & ~zero
+    for _ in range(100):
+        r = np.flatnonzero(live)
+        if not len(r):
+            break
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = np.where(
+                (info[r] > 0) & np.isfinite(info[r]), t[r] + score[r] / info[r], np.nan
+            )
+        inside = (lo[r] < newton) & (newton < hi[r])
+        inside &= np.abs(newton - t[r]) <= 0.5 * np.abs(step[r])
+        step[r] = np.where(inside, newton - t[r], 0.5 * (lo[r] + hi[r]) - t[r])
+        t[r] += step[r]
+        value[r], score[r], info[r], ok_r = terms(t[r], r)
+        rising = score[r] > 0
+        lo[r] = np.where(rising, t[r], lo[r])
+        hi[r] = np.where(rising, hi[r], t[r])
+        ok[r] &= ok_r
+        live[r] = ok_r & ~((np.abs(step[r]) <= 1e-10 * (1.0 + t[r])) | (score[r] == 0))
+    tau2 = np.where(value >= best_value, t, best_t)
+    tau2[zero] = 0.0
+    return tau2, beyond, ok
 
 
 def estimate_tau2_reml(ds: NetworkDataset) -> float:
@@ -410,42 +547,50 @@ def estimate_tau2_reml(ds: NetworkDataset) -> float:
     maximizer lies beyond the bracket and ``EstimationError`` is raised.
     """
     _require_residual_df(ds, ds.design.cols)
-    y = ds.effects()
-    v = ds.variances()
-    with np.errstate(over="ignore", invalid="ignore"):
-        upper = 10.0 * float(np.var(y, ddof=1)) + 10.0 * float(np.max(v))
+    upper, grid = _reml_grid(ds.effects(), ds.variances())
     if not math.isfinite(upper):
         raise NumericError("REML search bound 10 var(y) + 10 max(s_i^2) overflows the float range")
-    grid = np.concatenate(([0.0], np.geomspace(1e-2 * float(np.median(v)), upper, 15)))
     values = _reml_values(grid, ds)
     if not np.isfinite(values).all():
         raise NumericError("restricted likelihood is not finite on the tau^2 scan")
-    best = int(np.argmax(values))
-    t = float(grid[best])
-    _, score, info = _reml_newton_terms(t, ds)
-    if score > 0:
-        if best == len(grid) - 1:
-            raise EstimationError(
-                f"REML maximizer lies beyond the search bound 10 var(y) + 10 max(s_i^2) = {upper!r}"
-            )
-        lo, hi = t, float(grid[best + 1])
-    elif best == 0:
-        return 0.0
-    else:
-        lo, hi = float(grid[best - 1]), t
-    step = hi - lo
-    for _ in range(100):
-        newton = t + score / info if info > 0 and math.isfinite(info) else math.nan
-        if lo < newton < hi and abs(newton - t) <= 0.5 * abs(step):
-            step = newton - t
-        else:
-            step = 0.5 * (lo + hi) - t
-        t += step
-        value, score, info = _reml_newton_terms(t, ds)
-        if score > 0:
-            lo = t
-        else:
-            hi = t
-        if abs(step) <= 1e-10 * (1.0 + t) or score == 0:
-            break
-    return t if value >= values[best] else float(grid[best])
+    tau2, beyond, _ = _reml_refine(
+        grid[None], values[None], lambda t, rows: (*_reml_newton_terms(t[0], ds), True)
+    )
+    if beyond[0]:
+        raise EstimationError(
+            "REML maximizer lies beyond the search bound 10 var(y) + 10 max(s_i^2) = "
+            f"{float(upper)!r}"
+        )
+    return float(tau2[0])
+
+
+def _reml_rows(x: DesignMatrix, y: np.ndarray, v: np.ndarray):
+    """``estimate_tau2_reml`` for each row of (k, m) stacks ``y`` and ``v`` with designs ``x``.
+
+    The scan is one stacked solve over the rows per scan point, and the Newton
+    refinement runs in lockstep. Never raises: returns (tau2, ok) with ``ok``
+    False where ``estimate_tau2_reml`` would raise for that row. Run it under
+    ``np.errstate(all="ignore")``: such a row may overflow on the way.
+    """
+    upper, grid = _reml_grid(y, v)
+    ok = np.isfinite(upper)
+    values = np.empty(grid.shape)
+    for j in range(grid.shape[-1]):
+        sigma2 = v + grid[:, j, None]
+        fit = _gls_rows(x, y, sigma2)
+        values[:, j] = _restricted_loglik(sigma2, fit.log_det, y - fit.fitted)
+        ok &= fit.ok
+    ok &= np.isfinite(values).all(axis=-1)
+    live = np.flatnonzero(ok)
+
+    def terms(t, rows):
+        r = live[rows]
+        sub = DesignMatrix(x.a_idx[r], x.b_idx[r], x.column_treatments)
+        sigma2 = v[r] + t[:, None]
+        fit = _gls_rows(sub, y[r], sigma2)
+        return (*_newton_terms(sub, y[r], sigma2, *fit[1:4]), fit.ok)
+
+    tau2 = np.zeros(len(ok))
+    tau2[live], beyond, solved = _reml_refine(grid[live], values[live], terms)
+    ok[live] = solved & ~beyond
+    return tau2, ok

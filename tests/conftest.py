@@ -104,6 +104,14 @@ SWAMPED_GRAM_LOO = _md_network(
     [("A", "B", 0.1, 1), ("A", "B", 0.2, 2.0**-40), ("A", "C", 0.5, 1), ("B", "C", 0.7, 2.0**-40)]
 )
 
+# Leaving s5 out loses treatment D; leaving s6 out cuts {E,F} off; the rest refit.
+LOO_CUTS = _md_network([
+    ("A", "B", 0.1, 1), ("A", "B", 0.3, 0.5), ("A", "C", 0.5, 1), ("B", "C", 0.7, 0.8),
+    ("C", "D", 0.2, 1), ("C", "E", 0.4, 1), ("E", "F", 0.3, 1), ("E", "F", 0.6, 1),
+])
+# Two P-A studies: either one left alone has no residual degrees of freedom.
+LOO_NO_DF = _md_network([("P", "A", 0.0, 1), ("P", "A", 2.0, 1)])
+
 
 # An inconsistent triangle with var(y) = 0: the REML search bound is 0.001,
 # l_R still rises there (the DL tau^2 is 33.3).

@@ -17,6 +17,8 @@ from nmacompare.cli import main
 from conftest import (
     CORPUS_DIR,
     ESCAPING_INPUTS,
+    LOO_CUTS,
+    LOO_NO_DF,
     OVERFLOW_DL_TRACE,
     OVERFLOW_FE,
     OVERFLOW_GRAM,
@@ -367,6 +369,31 @@ class TestLoo:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(",yes," in line for line in lines[1:])
+        assert lines[1:] == [
+            "a,yes,no residual degrees of freedom,,,,,",
+            "b,yes,no residual degrees of freedom,,,,,",
+        ]
+
+    @pytest.mark.parametrize("method", ["dl", "reml"])
+    def test_skip_reasons_are_pinned(self, capsys, tmp_path, method):
+        cuts = tmp_path / "cuts.json"
+        cuts.write_text(LOO_CUTS)
+        code, out, _ = run(capsys, "loo", "--tau-method", method, str(cuts))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[5:7] == [
+            "s5,yes,exclusion removes the last study of treatment(s): D,,,,,",
+            "s6,yes,\"disconnected network: {A,B,C,D} | {E,F}\",,,,,",
+        ]
+        assert all(",no,," in line for line in lines[1:5] + lines[7:])
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(LOO_NO_DF)
+        code, out, _ = run(capsys, "loo", "--tau-method", method, str(tiny))
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "s1,yes,no residual degrees of freedom,,,,,",
+            "s2,yes,no residual degrees of freedom,,,,,",
+        ]
 
     def test_reml_refit_beyond_bound_is_skipped(self, capsys, tmp_path):
         path = tmp_path / "triangle.json"
@@ -391,6 +418,13 @@ class TestLoo:
             "1/(s_i^2 + tau^2) = 1.21e+24, 1.21e+24 times the smallest, and the other weights "
             "are lost in rounding against it\",,,,,"
         )
+        if method == "dl":
+            # the denominator sum w_i (1 - h_i) is exactly 2, but rounds to 0
+            assert out.splitlines()[4] == (
+                "s4,yes,\"moment estimator denominator sum w_i - sum w_i^2 x_i' C x_i comes out 0 "
+                "in floating point: study 's2' has weight 1/s_i^2 = 1.21e+24, 1.21e+24 times the "
+                "smallest, and the other weights are lost in rounding against it\",,,,,"
+            )
 
 
 class TestPlot:
