@@ -21,21 +21,19 @@ import numpy as np
 from .dataset import (
     DatasetError, DesignMatrix, EffectMeasure, NetworkDataset, _designs, load_dataset,
 )
-from .heterogeneity import QDecomposition, ScreenResult, _decomposition, q_decompose
+from .heterogeneity import QDecomposition, ScreenResult, _decomposition, _split
 from .models import (
     DEFAULT_CI_LEVEL,
     EstimationError,
     ModelFit,
     ModelKind,
-    _cov,
-    _gls_rows,
-    _log_lik_rows,
-    _moment_terms,
-    _reml_rows,
+    _check_ci_level,
+    _compare_rows,
+    _model_fits,
+    _raise_fault,
+    _stack_rows,
     estimate_tau2_dl,
     estimate_tau2_reml,
-    fit_fe,
-    fit_me,
     fit_re,
 )
 from .numerics import NumericError
@@ -119,6 +117,16 @@ class ComparisonReport:
     untestable: bool
 
 
+def _re_kind(tau_method: TauMethod) -> ModelKind:
+    if tau_method is TauMethod.DL:
+        return ModelKind.RE_DL
+    if tau_method is TauMethod.REML:
+        return ModelKind.RE_REML
+    raise EstimationError(
+        f"unknown tau method {tau_method!r} (expected TauMethod.DL or TauMethod.REML)"
+    )
+
+
 def fit_random_effects(
     ds: NetworkDataset, fe: ModelFit, tau_method: TauMethod, ci_level: float
 ) -> ModelFit:
@@ -127,14 +135,8 @@ def fit_random_effects(
     ``fe`` is the FE fit of ``ds``; DL takes its covariance and residuals.
     Any ``tau_method`` other than a ``TauMethod`` member raises EstimationError.
     """
-    if tau_method is TauMethod.DL:
-        tau2, kind = estimate_tau2_dl(ds, fe), ModelKind.RE_DL
-    elif tau_method is TauMethod.REML:
-        tau2, kind = estimate_tau2_reml(ds), ModelKind.RE_REML
-    else:
-        raise EstimationError(
-            f"unknown tau method {tau_method!r} (expected TauMethod.DL or TauMethod.REML)"
-        )
+    kind = _re_kind(tau_method)
+    tau2 = estimate_tau2_dl(ds, fe) if kind is ModelKind.RE_DL else estimate_tau2_reml(ds)
     return fit_re(ds, tau2, kind=kind, ci_level=ci_level)
 
 
@@ -143,20 +145,30 @@ def compare_models(
     tau_method: TauMethod = TauMethod.DL,
     ci_level: float = DEFAULT_CI_LEVEL,
 ) -> ComparisonReport:
-    """Fit FE once, derive RE and ME from it, and compare RE vs ME by AIC."""
-    fe = fit_fe(ds, ci_level)
-    q = q_decompose(ds, fe)
-    re = fit_random_effects(ds, fe, tau_method, ci_level)
-    me = fit_me(ds, fe)
-    return _report(ds, ds.n_studies, tau_method, fe, q, re, me)
+    """Fit FE once, derive RE and ME from it, and compare RE vs ME by AIC.
+
+    The fits are the one-dataset case of the row-wise core that also solves
+    ``leave_one_out``'s stacked refits (``models._compare_rows``): one FE GLS
+    fit, Q_total formed once, tau^2 by DL or REML, the RE fit at tau^2, and
+    phi. Errors come in the order of the stages: the FE fit and Q_total, the
+    split of Q, an unknown ``tau_method``, then tau^2, the RE fit and the ME
+    likelihood.
+    """
+    _check_ci_level(ci_level)
+    rows = _compare_rows(ds.design, ds.effects(), ds.variances(), tau_method is TauMethod.REML)
+    _raise_fault(rows.fe_fault, ds)
+    q = _split(ds, rows.fe.fitted, float(rows.q_total))
+    kind = _re_kind(tau_method)
+    _raise_fault(rows.fault, ds, rows.tau2, rows.denom)
+    return _report(ds, ds.n_studies, tau_method, q, *_model_fits(rows, ..., kind, ci_level, ds))
 
 
 def _report(
     ds: NetworkDataset,
     m: int,
     tau_method: TauMethod,
-    fe: ModelFit,
     q: QDecomposition,
+    fe: ModelFit,
     re: ModelFit,
     me: ModelFit,
 ) -> ComparisonReport:
@@ -242,11 +254,6 @@ def exclude_and_refit(
     return _refit(ds, baseline, excluded, tau_method, ci_level)
 
 
-# The refits of ``leave_one_out`` are solved together in blocks; no stacked
-# array of a block holds much more than this many elements.
-_LOO_BLOCK_ELEMENTS = 1 << 16
-
-
 def leave_one_out(
     ds: NetworkDataset,
     tau_method: TauMethod = TauMethod.DL,
@@ -256,11 +263,13 @@ def leave_one_out(
 
     Record i equals ``exclude_and_refit(ds, [study i])``, or is skipped with
     that call's error message. The refits are solved together rather than one
-    by one: row r of a stack holds the studies that refit r keeps, so the FE
-    fits of a block of refits are one stacked solve, as are their RE fits and
-    each point of the REML scan, and the REML Newton steps run in lockstep. A
-    block holds about ``_LOO_BLOCK_ELEMENTS`` elements per array, so memory
-    grows as block x (m + p^2), not m^2. A refit that would lose a treatment,
+    by one: row r of a stack holds the studies that refit r keeps, and a block
+    of refits runs through ``compare_models``' own row-wise core
+    (``models._compare_rows``), which solves their FE fits as one stack, their
+    16-point REML scans as another and their RE fits as a third, and runs the
+    REML Newton steps in lockstep. No array of a stacked solve holds much more
+    than ``models._STACK_ELEMENTS`` elements, so memory grows as
+    block x (m + p^2), not m^2. A refit that would lose a treatment,
     disconnect the network or leave no residual degrees of freedom, or whose
     stacked fit fails or comes out non-finite, runs on its own as in
     ``exclude_and_refit``, which gives its exact record or error message.
@@ -268,7 +277,7 @@ def leave_one_out(
     baseline = compare_models(ds, tau_method, ci_level)
     m, p = ds.n_studies, ds.design.cols
     stacked = np.flatnonzero(_keeps_network(ds) & (m - 1 > p))
-    size = max(1, _LOO_BLOCK_ELEMENTS // (4 * m + (p + 1) ** 2))
+    size = _stack_rows(m, p)
     records: dict[int, SensitivityRecord] = {}
     for start in range(0, len(stacked), size):
         block = stacked[start:start + size]
@@ -348,71 +357,34 @@ def _refit_block(
 
     Row r of every stack holds the m - 1 studies the refit without study
     ``drop[r]`` keeps, in dataset order, so each row's sums run over the same
-    terms in the same order as that refit's own. A refit whose fits fail or
-    come out non-finite is left out, for the caller's per-refit path.
+    terms in the same order as that refit's own. A refit with a fault, or
+    whose Q split fails, is left out, for the caller's per-refit path.
     """
     m, x = ds.n_studies, ds.design
     base = np.arange(m - 1)
     keep = base + (base >= drop[:, None])
     xs = DesignMatrix(x.a_idx[keep], x.b_idx[keep], x.column_treatments)
-    y, v, w = ds.effects()[keep], ds.variances()[keep], ds.weights()[keep]
-    df = m - 1 - x.cols
-
-    # a row that overflows is refit on its own path, which reports the overflow
-    with np.errstate(all="ignore"):
-        fe = _gls_rows(xs, y, v)
-        fe_cov = _cov(fe.lower)
-        fe_resid = y - fe.fitted
-        fe_ll, ok = _log_lik_rows(y, fe.fitted, v)
-        q_tot = np.sum(fe_resid * fe_resid * w, axis=-1)
-        ok &= fe.ok & np.isfinite(q_tot)
-        if tau_method is TauMethod.DL:
-            trace, denom = _moment_terms(xs, w, fe_cov)
-            ratio = (q_tot - df) / denom
-            tau2, kind = np.where(ratio > 0.0, ratio, 0.0), ModelKind.RE_DL
-            ok &= np.isfinite(trace) & (denom > 0)
-        else:
-            (tau2, solved), kind = _reml_rows(xs, y, v), ModelKind.RE_REML
-            ok &= solved
-        re_sigma2 = v + tau2[:, None]
-        re = _gls_rows(xs, y, re_sigma2)
-        re_cov = _cov(re.lower)
-        re_ll, re_finite = _log_lik_rows(y, re.fitted, re_sigma2)
-        ratio = q_tot / df
-        phi = np.where(ratio > 1.0, ratio, 1.0)
-        me_ll, me_finite = _log_lik_rows(y, fe.fitted, phi[:, None] * v)
-    ok &= re.ok & re_finite & me_finite
+    y, w = ds.effects()[keep], ds.weights()[keep]
+    rows = _compare_rows(xs, y, ds.variances()[keep], tau_method is TauMethod.REML)
+    kind = _re_kind(tau_method)
 
     a, b = ds.codes
     signs = np.where(a < b, 1.0, -1.0)[keep]
     gone = (np.bincount(ds.design_ids) == 1)[ds.design_ids[drop]]
     design_ids = ds.design_ids[keep]
     design_ids -= gone[:, None] & (design_ids > ds.design_ids[drop][:, None])
-    columns, reference = x.column_treatments, ds.reference
     records = {}
-    for r in np.flatnonzero(ok).tolist():
+    for r in np.flatnonzero(rows.fault == 0).tolist():
         i = int(drop[r])
         pairs = np.delete(ds.design_pairs, ds.design_ids[i]) if gone[r] else ds.design_pairs
         try:
             q = _decomposition(
                 _designs(ds.treatments, pairs, design_ids[r]), design_ids[r], w[r],
-                y[r] * signs[r], fe.fitted[r] * signs[r], x.cols, float(q_tot[r]),
+                y[r] * signs[r], rows.fe.fitted[r] * signs[r], x.cols, float(rows.q_total[r]),
             )
         except NumericError:  # a NaN Q_het or Q_inc has no chi-square tail
             continue
-        fe_fit = ModelFit(
-            ModelKind.FE, fe.d_hat[r], fe_cov[r], fe.fitted[r], fe_resid[r],
-            float(fe_ll[r]), ci_level, columns, reference,
-        )
-        re_fit = ModelFit(
-            kind, re.d_hat[r], re_cov[r], re.fitted[r], y[r] - re.fitted[r],
-            float(re_ll[r]), ci_level, columns, reference, tau2=float(tau2[r]),
-        )
-        me_fit = ModelFit(
-            ModelKind.ME, fe_fit.d_hat, phi[r] * fe_fit.cov, fe_fit.fitted, fe_fit.residuals,
-            float(me_ll[r]), ci_level, columns, reference, phi=float(phi[r]),
-        )
-        report = _report(ds, m - 1, tau_method, fe_fit, q, re_fit, me_fit)
+        report = _report(ds, m - 1, tau_method, q, *_model_fits(rows, r, kind, ci_level, ds))
         records[i] = _record((ds.studies[i].study_id,), report, baseline)
     return records
 

@@ -24,7 +24,7 @@ from .analysis import (
     format_csv,
     leave_one_out,
 )
-from .dataset import DatasetError, NetworkDataset, group_designs, load_dataset
+from .dataset import DatasetError, NetworkDataset, load_dataset
 from .heterogeneity import q_decompose
 from .models import fit_fe, fit_me
 from .numerics import single_blas_thread
@@ -134,14 +134,13 @@ def _emit_json(args: argparse.Namespace, doc: dict) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     ds = _load(args)
-    designs = group_designs(ds)
     if args.pretty:
         lines = [
             f"dataset:    {ds.name}",
             f"measure:    {ds.measure.value}",
             f"studies:    {ds.n_studies}",
             f"treatments: {ds.n_treatments} ({', '.join(ds.treatments)})",
-            f"designs:    {len(designs)}",
+            f"designs:    {len(ds.design_pairs)}",
             f"reference:  {ds.reference}",
             "connected:  yes",
         ]
@@ -154,7 +153,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 "measure": ds.measure.value,
                 "m": ds.n_studies,
                 "n": ds.n_treatments,
-                "C": len(designs),
+                "C": len(ds.design_pairs),
                 "reference": ds.reference,
                 "treatments": list(ds.treatments),
                 "connected": True,

@@ -17,15 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Design, NetworkDataset, group_designs
-from .numerics import NumericError, chi_square_sf
-
-if TYPE_CHECKING:
-    from .models import ModelFit
+from .models import ModelFit, _Fault, _q_total_rows, _raise_fault
+from .numerics import chi_square_sf
 
 __all__ = [
     "DesignContribution",
@@ -97,13 +95,10 @@ class ScreenResult(Enum):
 
 def q_total(ds: NetworkDataset, fe: ModelFit) -> float:
     """Lack-of-fit statistic of the fixed-effect model: r' V^-1 r."""
-    r = fe.residuals
     with np.errstate(over="ignore", invalid="ignore"):
-        q = float(np.sum(r * r * ds.weights()))
+        q = float(_q_total_rows(fe.residuals, ds.weights()))
     if not math.isfinite(q):
-        raise NumericError(
-            "Q_total overflows: the weighted squared FE residuals exceed the float range"
-        )
+        _raise_fault(_Fault.Q_TOTAL)
     return q
 
 
@@ -115,11 +110,16 @@ def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
     design means, Q_het per design and, with the FE fitted values, Q_inc, in
     one pass over the studies.
     """
+    return _split(ds, fe.fitted, q_total(ds, fe))
+
+
+def _split(ds: NetworkDataset, fitted: np.ndarray, q_tot: float) -> QDecomposition:
+    """``q_decompose`` from the FE fitted values and Q_total."""
     a, b = ds.codes
     signs = np.where(a < b, 1.0, -1.0)  # +1 where treat_a is the lower label
     return _decomposition(
         group_designs(ds), ds.design_ids, ds.weights(), ds.effects() * signs,
-        fe.fitted * signs, ds.design.cols, q_total(ds, fe),
+        fitted * signs, ds.design.cols, q_tot,
     )
 
 

@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DesignMatrix, NetworkDataset
-from .heterogeneity import q_total
 from .numerics import NumericError, normal_quantile, solve_spd
 
 __all__ = [
@@ -138,10 +137,7 @@ def log_likelihood(y: np.ndarray, mean: np.ndarray, cov_diag: np.ndarray) -> flo
         raise EstimationError("non-positive variance in likelihood")
     log_lik, finite = _log_lik_rows(y, mean, cov_diag)
     if not finite:
-        raise NumericError(
-            "log-likelihood overflows: the weighted squared residuals or the variances "
-            "exceed the float range"
-        )
+        _raise_fault(_Fault.LOG_LIK)
     return float(log_lik)
 
 
@@ -155,9 +151,102 @@ def _log_lik_rows(y: np.ndarray, mean: np.ndarray, cov_diag: np.ndarray):
     return log_lik, np.isfinite(quad) & np.isfinite(log_det)
 
 
+class _Fault:
+    """Codes for why the fits of a dataset, or of a row of a stack, fail. The row
+    functions never raise, and run under ``np.errstate(all="ignore")`` since a
+    faulty row may overflow: each row keeps the first fault it meets, in the
+    order of the single-dataset functions, and ``_raise_fault`` raises its
+    error. A code times a mask flags the rows where the mask holds. Plain ints,
+    not an enum: these run on every fit, where an enum lookup costs a microsecond."""
+
+    NONE = 0
+    OVERFLOW = 1  # X'WX overflows
+    NOT_PD = 2  # X'WX at variances V + tau2 I does not factor
+    LOG_LIK = 3
+    Q_TOTAL = 4
+    NO_DF = 5
+    DL_TRACE = 6
+    DL_DENOM = 7
+    REML_BOUND = 8
+    SCAN_NOT_PD = 9  # X'WX does not factor at some point of the REML scan
+    SCAN_VALUE = 10
+    REML_BEYOND = 11
+
+
+def _first(*faults):
+    """Per row, the first of ``faults`` that is not NONE (0)."""
+    first = faults[-1]
+    for fault in faults[-2::-1]:
+        first = fault + (fault == 0) * first
+    return first
+
+
+# The errors of the faults whose message names no study and no value
+_ERRORS = {
+    _Fault.OVERFLOW: (NumericError, "X'WX overflows: an extreme weight 1/(s_i^2 + tau^2) "
+                      "makes the Gram matrix exceed the float range"),
+    _Fault.LOG_LIK: (NumericError, "log-likelihood overflows: the weighted squared residuals "
+                     "or the variances exceed the float range"),
+    _Fault.Q_TOTAL: (NumericError, "Q_total overflows: the weighted squared FE residuals exceed "
+                     "the float range"),
+    _Fault.NO_DF: (EstimationError, "no residual degrees of freedom"),
+    _Fault.DL_TRACE: (NumericError, "moment estimator trace term sum w_i^2 x_i' C x_i overflows: "
+                      "an extreme weight 1/s_i^2 exceeds the float range when squared"),
+    _Fault.REML_BOUND: (NumericError, "REML search bound 10 var(y) + 10 max(s_i^2) overflows "
+                        "the float range"),
+    _Fault.SCAN_VALUE: (NumericError, "restricted likelihood is not finite on the tau^2 scan"),
+}
+
+
+def _raise_fault(fault, ds: NetworkDataset | None = None, tau2=0.0, denom=0.0) -> None:
+    """Raise the error that ``fault`` stands for in the fits of ``ds``; return on NONE.
+
+    ``tau2`` is the between-study variance of the fit whose X'WX does not
+    factor, and ``denom`` the moment estimator's denominator.
+    """
+    fault = int(fault)
+    if fault in _ERRORS:
+        error, message = _ERRORS[fault]
+        raise error(message)
+    if fault == _Fault.DL_DENOM:
+        w, weight = ds.weights(), "1/s_i^2"
+        what = (
+            "moment estimator denominator sum w_i - sum w_i^2 x_i' C x_i comes out "
+            f"{float(denom):.3g} in floating point"
+        )
+    elif fault in (_Fault.NOT_PD, _Fault.SCAN_NOT_PD):
+        # a connected network's X'WX is positive definite: rounding lost the small weights
+        v = ds.variances()
+        shift = _reml_grid(ds.effects(), v)[1][:, None] if fault == _Fault.SCAN_NOT_PD else tau2
+        w = 1.0 / np.atleast_2d(v + shift)
+        w, weight = w[np.argmax(np.max(w, -1) / np.min(w, -1))], "1/(s_i^2 + tau^2)"
+        what = "X'WX is not positive definite in floating point"
+    elif fault == _Fault.REML_BEYOND:
+        upper = _reml_grid(ds.effects(), ds.variances())[0]
+        raise EstimationError(
+            "REML maximizer lies beyond the search bound 10 var(y) + 10 max(s_i^2) = "
+            f"{float(upper)!r}"
+        )
+    else:
+        return
+    i = int(np.argmax(w))
+    raise EstimationError(
+        f"{what}: study {ds.studies[i].study_id!r} has weight {weight} = {w[i]:.3g}, "
+        f"{w[i] / w.min():.3g} times the smallest, and the other weights are lost in "
+        "rounding against it"
+    )
+
+
 def _check_ci_level(ci_level: float) -> None:
     if not (0.0 < ci_level < 1.0):
         raise EstimationError(f"ci_level must be in (0, 1), got {ci_level!r}")
+
+
+def _check_tau2(tau2: float) -> None:
+    if tau2 < 0:
+        raise EstimationError("negative between-study variance")
+    if not math.isfinite(tau2):
+        raise EstimationError(f"between-study variance must be a finite number, got {tau2!r}")
 
 
 def _bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -182,7 +271,7 @@ def _gram(x: DesignMatrix, w: np.ndarray) -> np.ndarray:
 
     ``w`` holds one weight per study, or a (k, m) stack of weight vectors for
     a (k, p, p) stack of matrices. Entries may come back non-finite when the
-    weights are extreme; ``_gls`` checks them.
+    weights are extreme; ``_gls_rows`` checks them.
     """
     size = x.cols + 1
     flat = _bincount(x.gram_index, np.concatenate((w, w, -w, -w), axis=-1), size * size)
@@ -212,14 +301,13 @@ def _leverages(x: DesignMatrix, c: np.ndarray) -> np.ndarray:
 
 
 class _GlsFit(NamedTuple):
-    """``_gls_rows``'s result; ``finite`` and ``ok`` are per row of a stack."""
+    """``_gls_rows``'s result; ``fault`` is per row of a stack."""
 
     d_hat: np.ndarray
     lower: np.ndarray
     log_det: float | np.ndarray
     fitted: np.ndarray
-    finite: np.ndarray
-    ok: np.ndarray
+    fault: np.ndarray
 
 
 def _factors(a: np.ndarray) -> bool:
@@ -237,8 +325,8 @@ def _gls_rows(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray) -> _GlsFit:
     log det X'WX and the fitted values; X'WX is built by ``np.bincount`` in
     O(m) and ``_cov(L)`` is the covariance of d_hat. A (k, m) ``sigma2`` gives
     a stack of each result, and a stacked design ``x`` and ``y`` give each row
-    its own studies. Never raises: ``finite`` is False where X'WX overflows and
-    ``ok`` also where it does not factor; such a row is solved against the
+    its own studies. Never raises: ``fault`` is OVERFLOW where X'WX overflows
+    and NOT_PD where it does not factor; such a row is solved against the
     identity instead, and its results mean nothing.
     """
     w = 1.0 / sigma2
@@ -257,29 +345,8 @@ def _gls_rows(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray) -> _GlsFit:
         gram[~ok] = np.eye(x.cols)
         fit = solve_spd(gram, xty[..., None])
     d_hat = fit.solution[..., 0]
-    return _GlsFit(d_hat, fit.lower, fit.log_det, _x_times(x, d_hat), finite, ok)
-
-
-def _gls(ds: NetworkDataset, sigma2: np.ndarray):
-    """``_gls_rows`` on the studies of ``ds`` as (d_hat, L, log det X'WX, fitted), raising
-    NumericError where X'WX overflows and EstimationError where it does not factor."""
-    fit = _gls_rows(ds.design, ds.effects(), sigma2)
-    if not fit.finite.all():
-        raise NumericError(
-            "X'WX overflows: an extreme weight 1/(s_i^2 + tau^2) makes the Gram matrix "
-            "exceed the float range"
-        )
-    if not fit.ok.all():
-        # a connected network's X'WX is positive definite: rounding lost the small weights
-        w = 1.0 / np.atleast_2d(sigma2)
-        w = w[np.argmax(np.max(w, -1) / np.min(w, -1))]
-        i = int(np.argmax(w))
-        raise EstimationError(
-            f"X'WX is not positive definite in floating point: study {ds.studies[i].study_id!r} "
-            f"has weight 1/(s_i^2 + tau^2) = {w[i]:.3g}, {w[i] / w.min():.3g} times the "
-            "smallest, and the other weights are lost in rounding against it"
-        )
-    return fit.d_hat, fit.lower, fit.log_det, fit.fitted
+    fault = _first(_Fault.OVERFLOW * ~finite, _Fault.NOT_PD * ~ok)
+    return _GlsFit(d_hat, fit.lower, fit.log_det, _x_times(x, d_hat), fault)
 
 
 def _cov(lower: np.ndarray) -> np.ndarray:
@@ -294,16 +361,50 @@ def _restricted_loglik(sigma2: np.ndarray, log_det, resid: np.ndarray):
     return -0.5 * (np.sum(np.log(sigma2), axis=-1) + log_det + np.sum(resid**2 / sigma2, axis=-1))
 
 
+class _Fit(NamedTuple):
+    """A GLS fit per row of a stack, with C = (X'WX)^-1, the residuals and log L."""
+
+    d_hat: np.ndarray
+    cov: np.ndarray
+    fitted: np.ndarray
+    residuals: np.ndarray
+    log_lik: np.ndarray
+    fault: np.ndarray
+
+
+def _fit_rows(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray) -> _Fit:
+    """``_gls_rows`` with C, the residuals and log L; LOG_LIK marks a log L that overflows."""
+    fit = _gls_rows(x, y, sigma2)
+    log_lik, finite = _log_lik_rows(y, fit.fitted, sigma2)
+    fault = _first(fit.fault, _Fault.LOG_LIK * ~finite)
+    return _Fit(fit.d_hat, _cov(fit.lower), fit.fitted, y - fit.fitted, log_lik, fault)
+
+
+def _model_fit(kind: ModelKind, fit: _Fit, row, ci_level: float, ds: NetworkDataset, **het):
+    """The ``ModelFit`` of row ``row`` of ``fit``, a fit of (some studies of) ``ds``;
+    ``row`` is ``...`` for one dataset."""
+    return ModelFit(
+        kind, fit.d_hat[row], fit.cov[row], fit.fitted[row], fit.residuals[row],
+        float(fit.log_lik[row]), ci_level, ds.design.column_treatments, ds.reference, **het,
+    )
+
+
+def _me_fit(fe: ModelFit, phi: float, log_lik: float) -> ModelFit:
+    """The ME fit: the estimates of ``fe`` with their covariance scaled by phi."""
+    return ModelFit(
+        ModelKind.ME, fe.d_hat, phi * fe.cov, fe.fitted, fe.residuals,
+        log_lik, fe.ci_level, fe.column_treatments, fe.reference, phi=phi,
+    )
+
+
 def _fit(ds: NetworkDataset, kind: ModelKind, tau2: float, ci_level: float) -> ModelFit:
     """GLS fit with covariance V + tau2 I; FE is tau2 = 0 and stores no tau2."""
     _check_ci_level(ci_level)
-    y = ds.effects()
-    sigma2 = ds.variances() + tau2
-    d_hat, lower, _, fitted = _gls(ds, sigma2)
-    return ModelFit(
-        kind, d_hat, _cov(lower), fitted, y - fitted, log_likelihood(y, fitted, sigma2),
-        ci_level, ds.design.column_treatments, ds.reference,
-        tau2=None if kind is ModelKind.FE else float(tau2),
+    with np.errstate(all="ignore"):
+        fit = _fit_rows(ds.design, ds.effects(), ds.variances() + tau2)
+    _raise_fault(fit.fault, ds, tau2)
+    return _model_fit(
+        kind, fit, ..., ci_level, ds, tau2=None if kind is ModelKind.FE else float(tau2)
     )
 
 
@@ -321,21 +422,30 @@ def fit_re(
     """Random-effects fit at a given between-study variance tau^2 >= 0."""
     if kind not in (ModelKind.RE_DL, ModelKind.RE_REML):
         raise EstimationError(f"fit_re expects a random-effects kind, got {kind}")
-    if tau2 < 0:
-        raise EstimationError("negative between-study variance")
+    _check_tau2(tau2)
     return _fit(ds, kind, tau2, ci_level)
-
-
-def _require_residual_df(ds: NetworkDataset, n_effects: int) -> int:
-    df = ds.n_studies - n_effects
-    if df <= 0:
-        raise EstimationError("no residual degrees of freedom")
-    return df
 
 
 def _require_fe(fe: ModelFit) -> None:
     if fe.kind is not ModelKind.FE:
         raise EstimationError(f"expected a fixed-effect fit, got {fe.kind}")
+
+
+def _q_total_rows(resid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Q_total = r' V^-1 r of FE residuals ``resid`` per row; it may overflow."""
+    return np.sum(resid * resid * w, axis=-1)
+
+
+def _me_rows(y: np.ndarray, fitted: np.ndarray, v: np.ndarray, q_tot: np.ndarray, df: int):
+    """phi = max(1, Q_total / df), the ME log L and the fault, per row."""
+    ratio = q_tot / df
+    phi = np.where(ratio > 1.0, ratio, 1.0)
+    log_lik, finite = _log_lik_rows(y, fitted, phi[..., None] * v)
+    fault = _first(
+        _Fault.NO_DF * (df <= 0), _Fault.Q_TOTAL * ~np.isfinite(q_tot),
+        _Fault.LOG_LIK * ~finite,
+    )
+    return phi, log_lik, fault
 
 
 def fit_me(ds: NetworkDataset, fe: ModelFit) -> ModelFit:
@@ -347,21 +457,25 @@ def fit_me(ds: NetworkDataset, fe: ModelFit) -> ModelFit:
     level and labels come from ``fe``.
     """
     _require_fe(fe)
-    df = _require_residual_df(ds, len(fe.d_hat))
-    phi = max(1.0, q_total(ds, fe) / df)
-    ll = log_likelihood(ds.effects(), fe.fitted, phi * ds.variances())
-    return ModelFit(
-        ModelKind.ME, fe.d_hat, phi * fe.cov, fe.fitted, fe.residuals,
-        ll, fe.ci_level, fe.column_treatments, fe.reference, phi=phi,
+    with np.errstate(all="ignore"):
+        phi, log_lik, fault = _me_rows(
+            ds.effects(), fe.fitted, ds.variances(), _q_total_rows(fe.residuals, ds.weights()),
+            ds.n_studies - len(fe.d_hat),
+        )
+    _raise_fault(fault)
+    return _me_fit(fe, float(phi), float(log_lik))
+
+
+def _dl_rows(x: DesignMatrix, w: np.ndarray, cov: np.ndarray, q_tot: np.ndarray, df: int):
+    """The moment estimator per row of a stack: (tau2, its denominator, fault)."""
+    trace = np.sum(w * w * _leverages(x, cov), axis=-1)
+    denom = np.sum(w, axis=-1) - trace
+    ratio = (q_tot - df) / denom
+    fault = _first(
+        _Fault.NO_DF * (df <= 0), _Fault.DL_TRACE * ~np.isfinite(trace),
+        _Fault.DL_DENOM * (denom <= 0), _Fault.Q_TOTAL * ~np.isfinite(q_tot),
     )
-
-
-def _moment_terms(x: DesignMatrix, w: np.ndarray, cov: np.ndarray):
-    """Trace term sum_i w_i^2 x_i' C x_i and denominator sum_i w_i - trace of the moment
-    estimator, per row of a stack; the trace overflows where a weight exceeds about 1e154."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = np.sum(w * w * _leverages(x, cov), axis=-1)
-    return trace, np.sum(w, axis=-1) - trace
+    return np.where(ratio > 0.0, ratio, 0.0), denom, fault
 
 
 def estimate_tau2_dl(ds: NetworkDataset, fe: ModelFit) -> float:
@@ -381,24 +495,25 @@ def estimate_tau2_dl(ds: NetworkDataset, fe: ModelFit) -> float:
     comes out 0 or below; the EstimationError then names that study.
     """
     _require_fe(fe)
-    x = ds.design
-    df = _require_residual_df(ds, x.cols)
     w = ds.weights()
-    trace, denom = _moment_terms(x, w, fe.cov)
-    if not math.isfinite(trace):
-        raise NumericError(
-            "moment estimator trace term sum w_i^2 x_i' C x_i overflows: "
-            "an extreme weight 1/s_i^2 exceeds the float range when squared"
+    with np.errstate(all="ignore"):
+        tau2, denom, fault = _dl_rows(
+            ds.design, w, fe.cov, _q_total_rows(fe.residuals, w), ds.n_studies - ds.design.cols
         )
-    if denom <= 0:
-        i = int(np.argmax(w))
-        raise EstimationError(
-            "moment estimator denominator sum w_i - sum w_i^2 x_i' C x_i comes out "
-            f"{float(denom):.3g} in floating point: study {ds.studies[i].study_id!r} has "
-            f"weight 1/s_i^2 = {w[i]:.3g}, {w[i] / w.min():.3g} times the smallest, and the "
-            "other weights are lost in rounding against it"
-        )
-    return max(0.0, (q_total(ds, fe) - df) / float(denom))
+    _raise_fault(fault, ds, denom=denom)
+    return float(tau2)
+
+
+_SCAN_POINTS = 16
+
+# No array of a stacked solve holds much more than this many elements.
+_STACK_ELEMENTS = 1 << 16
+
+
+def _stack_rows(m: int, p: int) -> int:
+    """How many rows of m studies and p columns one stacked solve takes: per row,
+    4 m Gram terms and a (p + 1)^2 Gram matrix."""
+    return max(1, _STACK_ELEMENTS // (4 * m + (p + 1) ** 2))
 
 
 def _reml_grid(y: np.ndarray, v: np.ndarray):
@@ -406,15 +521,8 @@ def _reml_grid(y: np.ndarray, v: np.ndarray):
     ``estimate_tau2_reml``, per row of a stack; a bound may come back non-finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         upper = 10.0 * np.var(y, axis=-1, ddof=1) + 10.0 * np.max(v, axis=-1)
-        geometric = np.geomspace(1e-2 * np.median(v, axis=-1), upper, 15, axis=-1)
+        geometric = np.geomspace(1e-2 * np.median(v, axis=-1), upper, _SCAN_POINTS - 1, axis=-1)
     return upper, np.concatenate((np.zeros(geometric.shape[:-1] + (1,)), geometric), axis=-1)
-
-
-def _reml_values(grid: np.ndarray, ds: NetworkDataset) -> np.ndarray:
-    """l_R at every tau^2 of ``grid``: one stacked Gram, Cholesky and solve."""
-    sigma2 = ds.variances() + grid[:, None]
-    _, _, log_det, fitted = _gls(ds, sigma2)
-    return _restricted_loglik(sigma2, log_det, ds.effects() - fitted)
 
 
 def reml_objective(tau2: float, ds: NetworkDataset) -> float:
@@ -423,11 +531,21 @@ def reml_objective(tau2: float, ds: NetworkDataset) -> float:
     l_R(tau2) = -1/2 [ log det(Sigma) + log det(X' Sigma^-1 X) + r' Sigma^-1 r ]
     with Sigma = V + tau2 I and r the GLS residuals at Sigma; the quadratic
     form equals y' P y of the standard REML projection. One Cholesky
-    factorization of X' Sigma^-1 X gives both the log-det and the GLS fit.
+    factorization of X' Sigma^-1 X gives both the log-det and the GLS fit,
+    computed as one point of the stacked REML scan.
     """
-    if tau2 < 0:
-        raise EstimationError("negative between-study variance")
-    return float(_reml_values(np.array([float(tau2)]), ds)[0])
+    _check_tau2(tau2)
+    with np.errstate(all="ignore"):
+        value, fault = _reml_scan(ds.design, ds.effects(), ds.variances()[None] + float(tau2))
+    _raise_fault(fault[0], ds, tau2)
+    return float(value[0])
+
+
+def _reml_scan(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray):
+    """l_R and the GLS fault at each row of a (k, m) stack of variances ``sigma2``, by one
+    stacked solve; ``y`` and ``x`` are shared, or a row per row."""
+    fit = _gls_rows(x, y, sigma2)
+    return _restricted_loglik(sigma2, fit.log_det, y - fit.fitted), fit.fault
 
 
 def _newton_terms(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray, lower, log_det, fitted):
@@ -466,12 +584,6 @@ def _newton_terms(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray, lower, log
     return value, score, info
 
 
-def _reml_newton_terms(tau2: float, ds: NetworkDataset):
-    """``_newton_terms`` of ``ds`` at one tau^2, raising where ``_gls`` does."""
-    sigma2 = ds.variances() + tau2
-    return _newton_terms(ds.design, ds.effects(), sigma2, *_gls(ds, sigma2)[1:])
-
-
 def _reml_refine(grid: np.ndarray, values: np.ndarray, terms):
     """The Newton refinement of ``estimate_tau2_reml``, run in lockstep over rows.
 
@@ -479,8 +591,8 @@ def _reml_refine(grid: np.ndarray, values: np.ndarray, terms):
     rows)`` gives l_R, score, information and an ok mask at tau^2 ``t`` for the
     rows ``rows``. Each row keeps its own bracket and stops on its own rule.
     Returns (tau2, beyond, ok) per row: ``beyond`` marks a maximizer past the
-    last scan point and ``ok`` is False where ``terms`` failed; the tau2 of
-    either means nothing.
+    last scan point, where tau2 means nothing, and ``ok`` is False where
+    ``terms`` failed, with tau2 the point where it did.
     """
     rows = np.arange(len(grid))
     best = np.argmax(values, axis=-1)
@@ -514,7 +626,7 @@ def _reml_refine(grid: np.ndarray, values: np.ndarray, terms):
         hi[r] = np.where(rising, hi[r], t[r])
         ok[r] &= ok_r
         live[r] = ok_r & ~((np.abs(step[r]) <= 1e-10 * (1.0 + t[r])) | (score[r] == 0))
-    tau2 = np.where(value >= best_value, t, best_t)
+    tau2 = np.where((value >= best_value) | ~ok, t, best_t)
     tau2[zero] = 0.0
     return tau2, beyond, ok
 
@@ -546,51 +658,103 @@ def estimate_tau2_reml(ds: NetworkDataset) -> float:
     best scan point is the upper bound and l_R still rises there, the
     maximizer lies beyond the bracket and ``EstimationError`` is raised.
     """
-    _require_residual_df(ds, ds.design.cols)
-    upper, grid = _reml_grid(ds.effects(), ds.variances())
-    if not math.isfinite(upper):
-        raise NumericError("REML search bound 10 var(y) + 10 max(s_i^2) overflows the float range")
-    values = _reml_values(grid, ds)
-    if not np.isfinite(values).all():
-        raise NumericError("restricted likelihood is not finite on the tau^2 scan")
-    tau2, beyond, _ = _reml_refine(
-        grid[None], values[None], lambda t, rows: (*_reml_newton_terms(t[0], ds), True)
-    )
-    if beyond[0]:
-        raise EstimationError(
-            "REML maximizer lies beyond the search bound 10 var(y) + 10 max(s_i^2) = "
-            f"{float(upper)!r}"
-        )
-    return float(tau2[0])
+    with np.errstate(all="ignore"):
+        tau2, fault = _reml_rows(ds.design, ds.effects(), ds.variances())
+    _raise_fault(fault, ds, tau2)
+    return float(tau2)
 
 
 def _reml_rows(x: DesignMatrix, y: np.ndarray, v: np.ndarray):
-    """``estimate_tau2_reml`` for each row of (k, m) stacks ``y`` and ``v`` with designs ``x``.
+    """``estimate_tau2_reml`` for one dataset (1-D ``y`` and ``v``), or for each row of
+    (k, m) stacks with a stacked design ``x``: (tau2, fault) per row.
 
-    The scan is one stacked solve over the rows per scan point, and the Newton
-    refinement runs in lockstep. Never raises: returns (tau2, ok) with ``ok``
-    False where ``estimate_tau2_reml`` would raise for that row. Run it under
-    ``np.errstate(all="ignore")``: such a row may overflow on the way.
+    The scan of all rows is one stacked solve of k x 16 systems, or a few of
+    at most ``_stack_rows`` systems each, and the Newton refinement runs in
+    lockstep over the rows. Where a Newton step's X'WX does not factor, tau2
+    is the point of that step.
     """
+    if v.shape[-1] <= x.cols:  # NO_DF, and var(y) in the search bound needs two studies
+        return np.zeros(y.shape[:-1]), np.full(y.shape[:-1], _Fault.NO_DF)
     upper, grid = _reml_grid(y, v)
-    ok = np.isfinite(upper)
-    values = np.empty(grid.shape)
-    for j in range(grid.shape[-1]):
-        sigma2 = v + grid[:, j, None]
-        fit = _gls_rows(x, y, sigma2)
-        values[:, j] = _restricted_loglik(sigma2, fit.log_det, y - fit.fitted)
-        ok &= fit.ok
-    ok &= np.isfinite(values).all(axis=-1)
-    live = np.flatnonzero(ok)
+    if y.ndim == 2:  # row 16 r + j of the scan is row r at scan point j
+        r, points = np.repeat(np.arange(len(y)), _SCAN_POINTS), grid.reshape(-1)
+        step, parts = _stack_rows(y.shape[1], x.cols), []
+        for i in range(0, len(r), step):
+            c = r[i:i + step]
+            sub = DesignMatrix(x.a_idx[c], x.b_idx[c], x.column_treatments)
+            parts.append(_reml_scan(sub, y[c], v[c] + points[i:i + step, None]))
+        values, scan = (np.concatenate(a) for a in zip(*parts))
+    else:
+        values, scan = _reml_scan(x, y, v + grid[:, None])
+    values, scan = values.reshape(grid.shape), scan.reshape(grid.shape)
+    fault = _first(
+        _Fault.REML_BOUND * ~np.isfinite(upper),
+        _Fault.OVERFLOW * (scan == _Fault.OVERFLOW).any(-1),
+        _Fault.SCAN_NOT_PD * (scan != _Fault.NONE).any(-1),
+        _Fault.SCAN_VALUE * ~np.isfinite(values).all(-1),
+    ).reshape(-1)
+    live = np.flatnonzero(fault == _Fault.NONE)
 
     def terms(t, rows):
-        r = live[rows]
-        sub = DesignMatrix(x.a_idx[r], x.b_idx[r], x.column_treatments)
-        sigma2 = v[r] + t[:, None]
-        fit = _gls_rows(sub, y[r], sigma2)
-        return (*_newton_terms(sub, y[r], sigma2, *fit[1:4]), fit.ok)
+        # X'WX at tau2 >= 0 is bounded by X'WX at tau2 = 0, which the scan
+        # checked, so a Newton point can fail to factor but not overflow
+        if y.ndim == 1:
+            sub, y_sub, sigma2 = x, y, v + t[0]
+        else:
+            r = live[rows]
+            sub = DesignMatrix(x.a_idx[r], x.b_idx[r], x.column_treatments)
+            y_sub, sigma2 = y[r], v[r] + t[:, None]
+        fit = _gls_rows(sub, y_sub, sigma2)
+        return (*_newton_terms(sub, y_sub, sigma2, *fit[1:4]), fit.fault == _Fault.NONE)
 
-    tau2 = np.zeros(len(ok))
-    tau2[live], beyond, solved = _reml_refine(grid[live], values[live], terms)
-    ok[live] = solved & ~beyond
-    return tau2, ok
+    tau2 = np.zeros(len(fault))
+    if len(live):
+        grid, values = grid.reshape(-1, _SCAN_POINTS)[live], values.reshape(-1, _SCAN_POINTS)[live]
+        tau2[live], beyond, ok = _reml_refine(grid, values, terms)
+        fault[live] = _first(_Fault.NOT_PD * ~ok, _Fault.REML_BEYOND * beyond)
+    return tau2.reshape(np.shape(upper)), fault.reshape(np.shape(upper))
+
+
+class _Comparison(NamedTuple):
+    """``_compare_rows``'s result, with a leading axis per row of a stack."""
+
+    fe: _Fit
+    q_total: np.ndarray
+    tau2: np.ndarray
+    denom: np.ndarray | None
+    re: _Fit
+    phi: np.ndarray
+    me_log_lik: np.ndarray
+    fe_fault: np.ndarray
+    fault: np.ndarray
+
+
+def _compare_rows(x: DesignMatrix, y: np.ndarray, v: np.ndarray, reml: bool) -> _Comparison:
+    """The FE, RE and ME fits of one dataset (1-D effects ``y`` and variances ``v``), or
+    of each row of (k, m) stacks of them with a stacked design ``x``, from one FE fit.
+
+    Q_total is formed once and gives phi and, with the FE covariance, the DL
+    tau2; ``reml`` asks for the REML tau2 instead. ``fault`` is each row's
+    first fault, and ``fe_fault`` that of the FE fit and Q_total alone, which
+    ``compare_models`` raises before it splits Q.
+    """
+    w, df = 1.0 / v, v.shape[-1] - x.cols
+    with np.errstate(all="ignore"):
+        fe = _fit_rows(x, y, v)
+        q_tot = _q_total_rows(fe.residuals, w)
+        if reml:
+            (tau2, tau2_fault), denom = _reml_rows(x, y, v), None
+        else:
+            tau2, denom, tau2_fault = _dl_rows(x, w, fe.cov, q_tot, df)
+        re = _fit_rows(x, y, v + tau2[..., None])
+        phi, me_log_lik, me_fault = _me_rows(y, fe.fitted, v, q_tot, df)
+    fe_fault = _first(fe.fault, _Fault.Q_TOTAL * ~np.isfinite(q_tot))
+    fault = _first(fe_fault, tau2_fault, re.fault, me_fault)
+    return _Comparison(fe, q_tot, tau2, denom, re, phi, me_log_lik, fe_fault, fault)
+
+
+def _model_fits(rows: _Comparison, row, kind: ModelKind, ci_level: float, ds: NetworkDataset):
+    """The FE, RE and ME ``ModelFit``s of row ``row`` of ``rows``, as ``_model_fit``."""
+    fe = _model_fit(ModelKind.FE, rows.fe, row, ci_level, ds)
+    re = _model_fit(kind, rows.re, row, ci_level, ds, tau2=float(rows.tau2[row]))
+    return fe, re, _me_fit(fe, float(rows.phi[row]), float(rows.me_log_lik[row]))

@@ -16,6 +16,7 @@ from nmacompare import (
     NetworkDataset,
     fit_fe,
     load_dataset,
+    models,
     numerics,
     q_decompose,
 )
@@ -215,6 +216,13 @@ def dense_design(x: DesignMatrix) -> np.ndarray:
     mat = mat[:, :-1].copy()
     mat.setflags(write=False)
     return mat
+
+
+def newton_terms(ds: NetworkDataset, tau2: float):
+    """l_R, its score and the observed information at ``tau2``: the terms of a REML Newton step."""
+    sigma2 = ds.variances() + tau2
+    fit = models._gls_rows(ds.design, ds.effects(), sigma2)
+    return models._newton_terms(ds.design, ds.effects(), sigma2, fit.lower, fit.log_det, fit.fitted)
 
 
 def decompose(ds: NetworkDataset):

@@ -25,7 +25,7 @@ from nmacompare import (
     leave_one_out,
 )
 
-from nmacompare import analysis, models
+from nmacompare import heterogeneity, models
 
 from conftest import ESCAPING_INPUTS, make_dataset, random_network, single_pair
 
@@ -78,18 +78,24 @@ class TestCompareModels:
 
     @pytest.mark.parametrize("method", [TauMethod.DL, TauMethod.REML])
     def test_fits_fe_once(self, smoke, monkeypatch, method):
-        """RE and ME are derived from the one FE fit compare_models makes."""
+        """RE and ME are derived from one FE GLS fit, and Q_total is formed once, in the core."""
         calls = []
-        original = models.fit_fe
+        gls_rows = models._gls_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(x, y, sigma2):
+            calls.append(sigma2)
+            return gls_rows(x, y, sigma2)
 
-        for module in (models, analysis):
-            monkeypatch.setattr(module, "fit_fe", counting)
+        def no_q_total(*args):
+            raise AssertionError("compare_models forms Q_total in its core, not by q_total")
+
+        monkeypatch.setattr(models, "_gls_rows", counting)
+        monkeypatch.setattr(heterogeneity, "q_total", no_q_total)
         compare_models(smoke, method)
-        assert len(calls) == 1
+        assert [np.array_equal(s, smoke.variances()) for s in calls].count(True) == 1
+        assert np.array_equal(calls[0], smoke.variances())
+        if method is TauMethod.DL:
+            assert len(calls) == 2  # the FE fit and the RE fit
 
     def test_aic_me_independent_of_tau_method(self, smoke):
         dl = compare_models(smoke, TauMethod.DL)

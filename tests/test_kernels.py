@@ -19,7 +19,7 @@ from nmacompare import (
 )
 from nmacompare import models
 
-from conftest import dense_design, random_network
+from conftest import dense_design, newton_terms, random_network
 
 RTOL = 1e-12
 
@@ -57,8 +57,7 @@ def test_index_kernels_match_dense_formulas(ds, tau2):
     d = rng.normal(size=x.cols)
     _close(models._x_times(x, d), mat @ d, absx @ np.abs(d))
 
-    _, lower, _, _ = models._gls(ds, 1.0 / w)
-    c = models._cov(lower)
+    c = models._cov(models._gls_rows(x, y, 1.0 / w).lower)
     lev = models._leverages(x, c)
     _close(lev, np.sum((mat @ c) * mat, axis=1), np.sum(absx @ np.abs(c) * absx, axis=1))
 
@@ -79,7 +78,7 @@ def test_index_kernels_match_dense_formulas(ds, tau2):
     # rounding, W minus a nearly equal W X C X'W, so this oracle is looser.
     py = p_mat @ y
     pppy = p_mat @ (p_mat @ py)
-    value, score, info = models._reml_newton_terms(tau2, ds)
+    value, score, info = newton_terms(ds, tau2)
     tr_p, tr_p2 = np.trace(p_mat), np.sum(p_mat * p_mat)
     _close(score, 0.5 * (py @ py - tr_p), py @ py + tr_p, rtol=1e-9)
     _close(info, y @ pppy - 0.5 * tr_p2, abs(y @ pppy) + tr_p2, rtol=1e-9)
@@ -90,7 +89,7 @@ def test_index_kernels_match_dense_formulas(ds, tau2):
 @given(networks())
 def test_stacked_scan_equals_pointwise_objective(ds):
     grid = np.concatenate(([0.0], np.geomspace(1e-3, 50.0, 15)))
-    values = models._reml_values(grid, ds)
+    values, _ = models._reml_scan(ds.design, ds.effects(), ds.variances() + grid[:, None])
     pointwise = [reml_objective(float(t), ds) for t in grid]
     np.testing.assert_allclose(values, pointwise, rtol=RTOL, atol=0.0)
 
@@ -115,14 +114,14 @@ def test_stacked_kernels_equal_row_by_row(k):
 @given(networks(), st.floats(0.0, 2.0))
 def test_newton_value_is_the_objective(ds, tau2):
     """The scan and the Newton step share one l_R: equal to the last bit."""
-    assert models._reml_newton_terms(tau2, ds)[0] == reml_objective(tau2, ds)
+    assert newton_terms(ds, tau2)[0] == reml_objective(tau2, ds)
 
 
 @pytest.mark.parametrize("name", ["smoke", "nsaid", "biologics"])
 def test_newton_value_is_the_objective_on_the_corpus(request, name):
     ds = request.getfixturevalue(name)
     for tau2 in (0.0, 1e-3, 0.1, 1.0, estimate_tau2_reml(ds)):
-        assert models._reml_newton_terms(tau2, ds)[0] == reml_objective(tau2, ds)
+        assert newton_terms(ds, tau2)[0] == reml_objective(tau2, ds)
 
 
 def wide_network(n: int = 300, m: int = 5000) -> NetworkDataset:
@@ -141,7 +140,7 @@ def wide_network(n: int = 300, m: int = 5000) -> NetworkDataset:
 def _check_cov(ds, fit):
     """fit.cov is C = L^-T L^-1 of X'WX's Cholesky factor: exactly symmetric, and C X'WX = I."""
     sigma2 = ds.variances() + (fit.tau2 or 0.0)
-    c = models._cov(models._gls(ds, sigma2)[1])
+    c = models._cov(models._gls_rows(ds.design, ds.effects(), sigma2).lower)
     np.testing.assert_array_equal(fit.cov, c)
     np.testing.assert_array_equal(fit.cov, fit.cov.T)
     gram = models._gram(ds.design, 1.0 / sigma2)

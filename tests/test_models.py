@@ -24,7 +24,6 @@ from nmacompare import (
     reml_objective,
 )
 from nmacompare import models
-from nmacompare.models import _reml_newton_terms
 
 from conftest import (
     OVERFLOW_FE,
@@ -33,6 +32,7 @@ from conftest import (
     dense_design,
     large_random_network,
     make_dataset,
+    newton_terms,
     random_network,
     reml_grid_argmax,
     reml_restricted_loglik_grid,
@@ -225,7 +225,7 @@ class TestRemlNewtonTerms:
         cases.append(large_random_network())
         for ds in cases:
             for tau2 in (0.01, 0.1, 0.5):
-                value, score, info = _reml_newton_terms(tau2, ds)
+                value, score, info = newton_terms(ds, tau2)
                 h = 1e-4 * tau2
                 lo, mid, hi = (reml_objective(t, ds) for t in (tau2 - h, tau2, tau2 + h))
                 assert value == pytest.approx(mid, abs=1e-9)
@@ -396,6 +396,23 @@ class TestFitRe:
     def test_rejects_negative_tau2(self, two_study):
         with pytest.raises(EstimationError):
             fit_re(two_study, -0.5)
+
+    @pytest.mark.parametrize("tau2,message", [
+        (math.nan, "between-study variance must be a finite number, got nan"),
+        (math.inf, "between-study variance must be a finite number, got inf"),
+        (-math.inf, "negative between-study variance"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_tau2_before_any_solve(self, nsaid, monkeypatch, tau2, message):
+        """nan once overflowed X'WX; inf once gave every weight 0, after two RuntimeWarnings."""
+
+        def no_solve(*args):
+            raise AssertionError("solved at a non-finite tau^2")
+
+        monkeypatch.setattr(models, "_gls_rows", no_solve)
+        for call in (lambda: fit_re(nsaid, tau2), lambda: reml_objective(tau2, nsaid)):
+            with pytest.raises(EstimationError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_rejects_bad_ci_level(self, two_study):
         with pytest.raises(EstimationError, match="ci_level"):
