@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import (
-    DatasetError, DesignMatrix, EffectMeasure, NetworkDataset, _designs, load_dataset,
+    DatasetError, DesignMatrix, EffectMeasure, NetworkDataset, connected_components, load_dataset,
 )
-from .heterogeneity import QDecomposition, ScreenResult, _decomposition, _split
+from .heterogeneity import QDecomposition, ScreenResult, _split
 from .models import (
     DEFAULT_CI_LEVEL,
     EstimationError,
@@ -157,7 +157,7 @@ def compare_models(
     _check_ci_level(ci_level)
     rows = _compare_rows(ds.design, ds.effects(), ds.variances(), tau_method is TauMethod.REML)
     _raise_fault(rows.fe_fault, ds)
-    q = _split(ds, rows.fe.fitted, float(rows.q_total))
+    q = _split(ds, rows.fe.fitted, rows.q_total)[0]
     kind = _re_kind(tau_method)
     _raise_fault(rows.fault, ds, rows.tau2, rows.denom)
     return _report(ds, ds.n_studies, tau_method, q, *_model_fits(rows, ..., kind, ci_level, ds))
@@ -225,14 +225,26 @@ def _refit(
     excluded: tuple[str, ...],
     tau_method: TauMethod,
     ci_level: float,
-) -> SensitivityRecord:
+) -> tuple[NetworkDataset, SensitivityRecord]:
+    """The dataset without the ``excluded`` studies, and the record of its refit."""
     sub = ds.drop_studies(excluded)
     lost = sorted(set(ds.treatments) - set(sub.treatments))
     if lost:
         raise DatasetError(
             "exclusion removes the last study of treatment(s): " + ", ".join(lost)
         )
-    return _record(excluded, compare_models(sub, tau_method, ci_level), baseline)
+    return sub, _record(excluded, compare_models(sub, tau_method, ci_level), baseline)
+
+
+def _exclude(
+    ds: NetworkDataset, exclude: Iterable[str], tau_method: TauMethod, ci_level: float
+) -> tuple[NetworkDataset, SensitivityRecord]:
+    """``exclude_and_refit``'s record, with the reduced dataset it refits."""
+    excluded = tuple(sorted({str(s).strip() for s in exclude}))
+    if not excluded:
+        raise DatasetError("no studies named for exclusion")
+    baseline = compare_models(ds, tau_method, ci_level)
+    return _refit(ds, baseline, excluded, tau_method, ci_level)
 
 
 def exclude_and_refit(
@@ -247,11 +259,7 @@ def exclude_and_refit(
     entirely, or leaves no residual degrees of freedom; the error names the
     broken part.
     """
-    excluded = tuple(sorted({str(s).strip() for s in exclude}))
-    if not excluded:
-        raise DatasetError("no studies named for exclusion")
-    baseline = compare_models(ds, tau_method, ci_level)
-    return _refit(ds, baseline, excluded, tau_method, ci_level)
+    return _exclude(ds, exclude, tau_method, ci_level)[1]
 
 
 def leave_one_out(
@@ -267,12 +275,14 @@ def leave_one_out(
     of refits runs through ``compare_models``' own row-wise core
     (``models._compare_rows``), which solves their FE fits as one stack, their
     16-point REML scans as another and their RE fits as a third, and runs the
-    REML Newton steps in lockstep. No array of a stacked solve holds much more
-    than ``models._STACK_ELEMENTS`` elements, so memory grows as
-    block x (m + p^2), not m^2. A refit that would lose a treatment,
-    disconnect the network or leave no residual degrees of freedom, or whose
-    stacked fit fails or comes out non-finite, runs on its own as in
-    ``exclude_and_refit``, which gives its exact record or error message.
+    REML Newton steps in lockstep; ``compare_models``' own Q split
+    (``heterogeneity._split``) then splits the Q of the whole block. No array
+    of a stacked solve holds much more than ``models._STACK_ELEMENTS``
+    elements, so memory grows as block x (m + p^2), not m^2. A refit that
+    would lose a treatment, disconnect the network (``_keeps_network``) or
+    leave no residual degrees of freedom, or whose stacked fit fails or comes
+    out non-finite, runs on its own as in ``exclude_and_refit``, which gives
+    its exact record or error message.
     """
     baseline = compare_models(ds, tau_method, ci_level)
     m, p = ds.n_studies, ds.design.cols
@@ -296,54 +306,28 @@ def _refit_or_skip(
     ci_level: float,
 ) -> SensitivityRecord:
     try:
-        return _refit(ds, baseline, (study_id,), tau_method, ci_level)
+        return _refit(ds, baseline, (study_id,), tau_method, ci_level)[1]
     except ANALYSIS_ERRORS as exc:
         return SensitivityRecord((study_id,), None, None, None, skipped=True, reason=str(exc))
 
 
-def _bridges(n: int, edges: list[tuple[int, int]]) -> set[int]:
-    """Indices of the edges whose removal disconnects a connected simple graph on 0..n-1.
-
-    Iterative depth-first search (Tarjan 1974): the edge into a node is a
-    bridge when no edge from the node's subtree reaches above it.
-    """
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(edges):
-        adjacent[a].append((b, e))
-        adjacent[b].append((a, e))
-    order, low = [-1] * n, [0] * n
-    order[0] = seen = 0
-    stack = [(0, -1, iter(adjacent[0]))]
-    bridges = set()
-    while stack:
-        node, via, rest = stack[-1]
-        for nxt, e in rest:
-            if order[nxt] < 0:
-                seen += 1
-                order[nxt] = low[nxt] = seen
-                stack.append((nxt, e, iter(adjacent[nxt])))
-                break
-            if e != via:
-                low[node] = min(low[node], order[nxt])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[node])
-                if low[node] > order[parent]:
-                    bridges.add(via)
-    return bridges
-
-
 def _keeps_network(ds: NetworkDataset) -> np.ndarray:
-    """Per study: removing it keeps every treatment and a connected network."""
+    """Per study: removing it keeps every treatment and a connected network.
+
+    Only the sole study of a design takes an edge of the network with it, so
+    ``connected_components`` runs once per sole-study design that keeps every
+    treatment, on the edges of the other designs: O(C (n + C)) at worst.
+    """
     n = ds.n_treatments
     a, b = ds.codes
     per_treatment = np.bincount(ds.codes.ravel(), minlength=n)
+    keeps = (per_treatment[a] > 1) & (per_treatment[b] > 1)
+    edges = [divmod(c, n) for c in ds.design_pairs.tolist()]
     sole = np.bincount(ds.design_ids)[ds.design_ids] == 1
-    bridge = np.zeros(len(ds.design_pairs), dtype=bool)
-    bridge[list(_bridges(n, [divmod(c, n) for c in ds.design_pairs.tolist()]))] = True
-    return (per_treatment[a] > 1) & (per_treatment[b] > 1) & ~(sole & bridge[ds.design_ids])
+    for i in np.flatnonzero(keeps & sole).tolist():
+        c = ds.design_ids[i]
+        keeps[i] = len(connected_components(range(n), edges[:c] + edges[c + 1:])) == 1
+    return keeps
 
 
 def _refit_block(
@@ -364,28 +348,18 @@ def _refit_block(
     base = np.arange(m - 1)
     keep = base + (base >= drop[:, None])
     xs = DesignMatrix(x.a_idx[keep], x.b_idx[keep], x.column_treatments)
-    y, w = ds.effects()[keep], ds.weights()[keep]
-    rows = _compare_rows(xs, y, ds.variances()[keep], tau_method is TauMethod.REML)
+    rows = _compare_rows(
+        xs, ds.effects()[keep], ds.variances()[keep], tau_method is TauMethod.REML
+    )
     kind = _re_kind(tau_method)
-
-    a, b = ds.codes
-    signs = np.where(a < b, 1.0, -1.0)[keep]
-    gone = (np.bincount(ds.design_ids) == 1)[ds.design_ids[drop]]
-    design_ids = ds.design_ids[keep]
-    design_ids -= gone[:, None] & (design_ids > ds.design_ids[drop][:, None])
+    ok = np.flatnonzero(rows.fault == 0)
+    splits = _split(ds, rows.fe.fitted[ok], rows.q_total[ok], keep[ok])
     records = {}
-    for r in np.flatnonzero(rows.fault == 0).tolist():
-        i = int(drop[r])
-        pairs = np.delete(ds.design_pairs, ds.design_ids[i]) if gone[r] else ds.design_pairs
-        try:
-            q = _decomposition(
-                _designs(ds.treatments, pairs, design_ids[r]), design_ids[r], w[r],
-                y[r] * signs[r], rows.fe.fitted[r] * signs[r], x.cols, float(rows.q_total[r]),
-            )
-        except NumericError:  # a NaN Q_het or Q_inc has no chi-square tail
-            continue
-        report = _report(ds, m - 1, tau_method, q, *_model_fits(rows, r, kind, ci_level, ds))
-        records[i] = _record((ds.studies[i].study_id,), report, baseline)
+    for r, q in zip(ok.tolist(), splits):
+        if q is not None:
+            i = int(drop[r])
+            report = _report(ds, m - 1, tau_method, q, *_model_fits(rows, r, kind, ci_level, ds))
+            records[i] = _record((ds.studies[i].study_id,), report, baseline)
     return records
 
 

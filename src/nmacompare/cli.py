@@ -16,10 +16,10 @@ from typing import Sequence
 from .analysis import (
     ANALYSIS_ERRORS,
     TauMethod,
+    _exclude,
     batch_run,
     batch_to_csv,
     compare_models,
-    exclude_and_refit,
     fit_random_effects,
     format_csv,
     leave_one_out,
@@ -193,9 +193,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ds = _load(args)
     tau_method = TauMethod.parse(args.tau_method)
     if args.exclude:
-        record = exclude_and_refit(ds, args.exclude, tau_method, ci_level=args.ci_level)
+        sub, record = _exclude(ds, args.exclude, tau_method, args.ci_level)
         assert record.report is not None
-        sub = ds.drop_studies(record.excluded)
         doc = fit_report(sub, [record.report.fe, record.report.re, record.report.me],
                          record.report.q, record.report)
         doc["excluded"] = list(record.excluded)

@@ -254,13 +254,14 @@ def group_designs(ds: NetworkDataset) -> list[Design]:
 
 
 def _designs(treatments: tuple[str, ...], pairs: np.ndarray, design_ids: np.ndarray) -> list[Design]:
-    """Designs from the pair codes lo * n + hi and each study's index into them."""
+    """Designs from the pair codes lo * n + hi and each study's index into them; a pair
+    that no study has is left out."""
     n = len(treatments)
     order = np.argsort(design_ids, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(design_ids)).tolist()
+    ends = np.cumsum(np.bincount(design_ids, minlength=len(pairs))).tolist()
     return [
         Design((treatments[code // n], treatments[code % n]), tuple(order[start:end]))
-        for code, start, end in zip(pairs.tolist(), [0] + ends, ends)
+        for code, start, end in zip(pairs.tolist(), [0] + ends, ends) if end > start
     ]
 
 

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Design, NetworkDataset, group_designs
-from .models import ModelFit, _Fault, _q_total_rows, _raise_fault
-from .numerics import chi_square_sf
+from .dataset import Design, NetworkDataset, _designs
+from .models import ModelFit, _bincount, _Fault, _q_total_rows, _raise_fault
+from .numerics import NumericError, chi_square_sf
 
 __all__ = [
     "DesignContribution",
@@ -105,57 +105,72 @@ def q_total(ds: NetworkDataset, fe: ModelFit) -> float:
 def q_decompose(ds: NetworkDataset, fe: ModelFit) -> QDecomposition:
     """Decompose Q_total into per-design and per-study heterogeneity plus inconsistency.
 
-    Every study carries the index of its design in ``group_designs`` order
-    (``ds.design_ids``); ``np.bincount`` over that index gives the pooled
-    design means, Q_het per design and, with the FE fitted values, Q_inc, in
-    one pass over the studies.
+    The one-dataset case of ``_split``, which also splits the Q of every
+    refit of ``leave_one_out``.
     """
-    return _split(ds, fe.fitted, q_total(ds, fe))
+    return _split(ds, fe.fitted, q_total(ds, fe))[0]
 
 
-def _split(ds: NetworkDataset, fitted: np.ndarray, q_tot: float) -> QDecomposition:
-    """``q_decompose`` from the FE fitted values and Q_total."""
+def _split(
+    ds: NetworkDataset, fitted: np.ndarray, q_tot: float | np.ndarray, keep=...
+) -> list[QDecomposition | None]:
+    """The Q split of ``ds`` from its FE fitted values and Q_total, or of each refit of a stack.
+
+    ``keep`` is ``...`` for the dataset itself, or a (k, m') stack whose row
+    r holds the indices of the studies refit r keeps, in dataset order, with
+    (k, m') ``fitted`` and k ``q_tot``. Every study carries the index of its
+    design in ``group_designs`` order (``ds.design_ids``); ``_bincount`` over
+    all C designs of the dataset gives every row's pooled design means, Q_het
+    per design and, with the FE fitted values, Q_inc, in one pass over the
+    studies. A row's record leaves out the designs it has no study in. A NaN
+    Q_het or Q_inc has no chi-square tail: it raises NumericError for the
+    dataset itself and gives None for a refit.
+    """
     a, b = ds.codes
-    signs = np.where(a < b, 1.0, -1.0)  # +1 where treat_a is the lower label
-    return _decomposition(
-        group_designs(ds), ds.design_ids, ds.weights(), ds.effects() * signs,
-        fitted * signs, ds.design.cols, q_tot,
-    )
-
-
-def _decomposition(
-    designs: list[Design],
-    design_id: np.ndarray,
-    w: np.ndarray,
-    y_c: np.ndarray,
-    fitted_c: np.ndarray,
-    n_effects: int,
-    q_tot: float,
-) -> QDecomposition:
-    """``q_decompose`` from the designs, each study's design index, weight, and
-    effect and FE fitted value in the canonical orientation of its design."""
-    m = len(w)
-    pooled = np.bincount(design_id, w * y_c) / np.bincount(design_id, w)
-    pooled_c = pooled[design_id]
+    signs = np.where(a < b, 1.0, -1.0)[keep]  # +1 where treat_a is the lower label
+    ids = np.atleast_2d(ds.design_ids[keep])
+    w = np.atleast_2d(ds.weights()[keep])
+    y_c, fitted_c = ds.effects()[keep] * signs, np.atleast_2d(fitted * signs)
+    size = len(ds.design_pairs)
+    sum_w = _bincount(ids, w, size)
+    present = sum_w > 0  # every weight is positive
+    pooled = np.divide(_bincount(ids, w * y_c, size), sum_w, np.zeros_like(sum_w), where=present)
+    pooled_c = np.take_along_axis(pooled, ids, -1)
     per_study_q = w * (y_c - pooled_c) ** 2
-    per_design_q = np.bincount(design_id, per_study_q)
+    per_design_q = _bincount(ids, per_study_q, size)
 
-    q_het = float(np.sum(per_study_q))
-    df_het = m - len(designs)
-    df_inc = len(designs) - n_effects
+    m, n_designs = ids.shape[-1], present.sum(-1)
+    df_het, df_inc = m - n_designs, n_designs - (ds.n_treatments - 1)
     # A connected network with C = n-1 designs is a tree: the FE fit
     # reproduces every design mean exactly, so inconsistency is identically
     # zero and the computed value is rounding noise.
-    q_inc = float(np.sum(w * (pooled_c - fitted_c) ** 2)) if df_inc > 0 else 0.0
-
-    return QDecomposition(
-        q_total=q_tot,
-        q_het=q_het,
-        q_inc=q_inc,
-        df_het=df_het,
-        df_inc=df_inc,
-        p_het=chi_square_sf(q_het, df_het) if df_het >= 1 else None,
-        p_inc=chi_square_sf(q_inc, df_inc) if df_inc >= 1 else None,
-        per_design=tuple(map(DesignContribution, designs, per_design_q.tolist(), pooled.tolist())),
-        per_study=tuple(map(StudyContribution, range(m), per_study_q.tolist(), w.tolist())),
-    )
+    inc = df_inc > 0
+    q_inc = np.zeros(len(ids))
+    q_inc[inc] = np.sum(w[inc] * (pooled_c[inc] - fitted_c[inc]) ** 2, -1)
+    rows = zip(np.atleast_1d(q_tot).tolist(), np.sum(per_study_q, -1).tolist(), q_inc.tolist(),
+               df_het.tolist(), df_inc.tolist())
+    splits = []
+    for r, (q_t, q_h, q_i, df_h, df_i) in enumerate(rows):
+        try:
+            p_het = chi_square_sf(q_h, df_h) if df_h >= 1 else None
+            p_inc = chi_square_sf(q_i, df_i) if df_i >= 1 else None
+        except NumericError:
+            if keep is ...:
+                raise
+            splits.append(None)
+            continue
+        designs, here = _designs(ds.treatments, ds.design_pairs, ids[r]), present[r]
+        splits.append(QDecomposition(
+            q_total=q_t,
+            q_het=q_h,
+            q_inc=q_i,
+            df_het=df_h,
+            df_inc=df_i,
+            p_het=p_het,
+            p_inc=p_inc,
+            per_design=tuple(map(DesignContribution, designs, per_design_q[r, here].tolist(),
+                                 pooled[r, here].tolist())),
+            per_study=tuple(map(StudyContribution, range(m), per_study_q[r].tolist(),
+                                w[r].tolist())),
+        ))
+    return splits

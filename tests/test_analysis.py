@@ -14,6 +14,7 @@ from nmacompare import (
     DatasetError,
     EstimationError,
     NetworkDataset,
+    NumericError,
     ScreenResult,
     TauMethod,
     batch_run,
@@ -23,11 +24,14 @@ from nmacompare import (
     compare_models,
     exclude_and_refit,
     leave_one_out,
+    parse_dataset,
 )
 
 from nmacompare import heterogeneity, models
 
-from conftest import ESCAPING_INPUTS, make_dataset, random_network, single_pair
+from conftest import (
+    ESCAPING_INPUTS, LOO_CUTS, OVERFLOW_FE, make_dataset, random_network, single_pair,
+)
 
 
 class TestClassify:
@@ -178,6 +182,18 @@ class TestExcludeAndRefit:
         )
         with pytest.raises(DatasetError, match="last study of treatment.*C"):
             exclude_and_refit(ds, ["s5"])
+
+    @pytest.mark.parametrize("text, excluded, message", [
+        (OVERFLOW_FE, [], "no studies named for exclusion"),
+        (OVERFLOW_FE, ["nope"], "log-likelihood overflows"),
+        (LOO_CUTS, ["s5", "nope"], "unknown study id(s): nope"),
+        (LOO_CUTS, ["s5"], "exclusion removes the last study of treatment(s): D"),
+    ])
+    def test_exclusion_errors_come_in_order(self, text, excluded, message):
+        """Empty exclusion, then the baseline fit, then an unknown id, then a lost treatment."""
+        with pytest.raises((DatasetError, EstimationError, NumericError)) as caught:
+            exclude_and_refit(parse_dataset(text, "json"), excluded)
+        assert str(caught.value).startswith(message)
 
 
 class TestLeaveOneOut:

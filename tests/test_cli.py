@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nmacompare import NetworkDataset
 from nmacompare.cli import main
 
 from conftest import (
@@ -256,6 +257,19 @@ class TestCompare:
         assert doc["excluded"] == ["row23"]
         assert doc["q"]["het"] == pytest.approx(58.53, abs=1.0)
         assert doc["change"]["q_het"] == pytest.approx(-23.8, abs=1.0)
+
+    def test_exclusion_drops_the_studies_once(self, capsys, monkeypatch):
+        calls = []
+        drop_studies = NetworkDataset.drop_studies
+
+        def counted(self, study_ids):
+            calls.append(study_ids)
+            return drop_studies(self, study_ids)
+
+        monkeypatch.setattr(NetworkDataset, "drop_studies", counted)
+        code, _, _ = run(capsys, "compare", NSAID_CSV, "--measure", "logRR", "--exclude", "row23")
+        assert code == 0
+        assert calls == [("row23",)]
 
     def test_reml_direction_matches(self, capsys):
         code, out, _ = run(capsys, "compare", SMOKE_JSON, "--tau-method", "reml")

@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in that module, and the CLI imports light.
+"""Every name a package module imports is used in that module, every private helper of the
+package has a reader, and the CLI imports light.
 
 No linter ships with the project, so this walks each module's syntax tree.
-``__init__.py`` is skipped: its imports are the package's re-exports.
+The unused-import check skips ``__init__.py``: its imports are the package's re-exports.
 """
 
 from __future__ import annotations
@@ -72,3 +73,50 @@ def test_cli_import_skips_network_modules():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Private module-level functions, classes and constants by name; dunders excepted."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [
+                t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(t, ast.Name)
+            ]
+        else:
+            continue
+        names.update((name, node) for name in targets
+                     if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+def _reads(node: ast.AST) -> list[str]:
+    """Every name read below ``node``: plain names, attributes and names imported from a module."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names += [alias.name for alias in sub.names]
+    return names
+
+
+def test_every_private_helper_is_read():
+    """No private function, class or constant of the package is left without a reader.
+
+    A name counts as read where any module reads it, outside its own definition.
+    """
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    reads = [name for tree in trees.values() for name in _reads(tree)]
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if reads.count(name) == _reads(node).count(name)
+    ]
+    assert unread == []

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from nmacompare import (
     ContrastObservation,
+    DatasetError,
     NetworkDataset,
     SensitivityRecord,
     TauMethod,
-    connected_components,
     exclude_and_refit,
     leave_one_out,
 )
@@ -150,11 +150,13 @@ def test_blocks_keep_memory_below_an_m_by_m_stack(method):
 
 @settings(derandomize=True, max_examples=60, database=None, deadline=None)
 @given(networks_with_cuts())
-def test_bridges_are_the_edges_that_disconnect(ds):
-    n = ds.n_treatments
-    edges = [divmod(c, n) for c in ds.design_pairs.tolist()]
-    cut = {
-        e for e in range(len(edges))
-        if len(connected_components(range(n), edges[:e] + edges[e + 1:])) > 1
-    }
-    assert analysis._bridges(n, edges) == cut
+def test_keeps_network_marks_the_exclusions_that_validate(ds):
+    """A study keeps the network when the dataset without it validates with every treatment."""
+
+    def keeps(study_id):
+        try:
+            return ds.drop_studies([study_id]).treatments == ds.treatments
+        except DatasetError:
+            return False
+
+    assert analysis._keeps_network(ds).tolist() == [keeps(obs.study_id) for obs in ds.studies]
