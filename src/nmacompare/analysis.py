@@ -11,15 +11,26 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dataset import (
-    DatasetError, DesignMatrix, EffectMeasure, NetworkDataset, connected_components, load_dataset,
+    DatasetError,
+    DesignMatrix,
+    EffectMeasure,
+    NetworkDataset,
+    _spanning_forest,
+    connected_components,
+    load_dataset,
 )
 from .heterogeneity import QDecomposition, ScreenResult, _split
 from .models import (
@@ -240,7 +251,7 @@ def _exclude(
     ds: NetworkDataset, exclude: Iterable[str], tau_method: TauMethod, ci_level: float
 ) -> tuple[NetworkDataset, SensitivityRecord]:
     """``exclude_and_refit``'s record, with the reduced dataset it refits."""
-    excluded = tuple(sorted({str(s).strip() for s in exclude}))
+    excluded = tuple(sorted({str(s).strip() for s in exclude} - {""}))
     if not excluded:
         raise DatasetError("no studies named for exclusion")
     baseline = compare_models(ds, tau_method, ci_level)
@@ -314,17 +325,21 @@ def _refit_or_skip(
 def _keeps_network(ds: NetworkDataset) -> np.ndarray:
     """Per study: removing it keeps every treatment and a connected network.
 
-    Only the sole study of a design takes an edge of the network with it, so
-    ``connected_components`` runs once per sole-study design that keeps every
-    treatment, on the edges of the other designs: O(C (n + C)) at worst.
+    Only the sole study of a design takes an edge of the network with it, and
+    only an edge of a spanning tree can be the one that holds the network
+    together. So ``connected_components`` runs once per sole-study design on
+    one spanning tree that keeps every treatment, on the edges of the other
+    designs: at most n - 1 times, O(n (n + C)) in all.
     """
     n = ds.n_treatments
     a, b = ds.codes
     per_treatment = np.bincount(ds.codes.ravel(), minlength=n)
     keeps = (per_treatment[a] > 1) & (per_treatment[b] > 1)
     edges = [divmod(c, n) for c in ds.design_pairs.tolist()]
+    on_tree = np.zeros(len(edges), dtype=bool)
+    on_tree[_spanning_forest(range(n), edges)[1]] = True
     sole = np.bincount(ds.design_ids)[ds.design_ids] == 1
-    for i in np.flatnonzero(keeps & sole).tolist():
+    for i in np.flatnonzero(keeps & sole & on_tree[ds.design_ids]).tolist():
         c = ds.design_ids[i]
         keeps[i] = len(connected_components(range(n), edges[:c] + edges[c + 1:])) == 1
     return keeps
@@ -462,17 +477,86 @@ def batch_run(
     sources: Sequence[str | Path],
     alpha: float = 0.05,
     tau_method: TauMethod = TauMethod.DL,
+    jobs: int = 1,
 ) -> BatchResult:
     """Compare models for every dataset file; failures become error rows.
 
-    Datasets are evaluated one after another and rows are sorted by (dataset
-    name, source path).
+    With ``jobs`` above 1 the datasets run on up to ``jobs`` worker processes,
+    but on no more than the CPUs this process may use or the files. Each
+    worker is forked from this process, so it starts with every module
+    imported; a spawned one would import numpy again, which takes longer than
+    a whole batch of small files. Where the fork start method is missing,
+    where this process runs other threads (a forked child would inherit
+    their locks but not the threads), or where one worker would do, the
+    datasets run one after another in this process. Both ways give the same
+    rows, warnings and errors: a worker records its warnings, and they are
+    issued again here in source order, and an exception that ``_batch_one``
+    does not turn into an error row reaches the caller. No worker outlives
+    the call. Rows are sorted by (dataset name, source path).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    rows = [_batch_one(s, alpha, tau_method) for s in sources]
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    rows = _batch_rows(sources, alpha, tau_method, min(jobs, cpus or 1, len(sources)))
     rows.sort(key=lambda r: (r.name, r.source))
     return BatchResult(tuple(rows), _histogram(rows), alpha, tau_method)
+
+
+def _batch_rows(
+    sources: Sequence[str | Path], alpha: float, tau_method: TauMethod, workers: int
+) -> list[BatchRow]:
+    """``_batch_one``'s rows in source order, on ``workers`` forked processes or in this one.
+
+    The pool modules are imported here only, as they would add to every
+    command's cold start.
+    """
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = multiprocessing.get_context("fork")
+            chunk = max(1, len(sources) // (4 * workers))
+            rows = []
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                for row, caught in pool.map(
+                    _batch_recorded, sources, repeat(alpha), repeat(tau_method), chunksize=chunk
+                ):
+                    _warn_again(caught)
+                    rows.append(row)
+            return rows
+    return [_batch_one(s, alpha, tau_method) for s in sources]
+
+
+def _batch_recorded(
+    source: str | Path, alpha: float, tau_method: TauMethod
+) -> tuple[BatchRow, list[tuple]]:
+    """``_batch_one`` in a pool worker, with the warnings it raised for the parent to issue."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        row = _batch_one(source, alpha, tau_method)
+    return row, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _warn_again(caught: list[tuple]) -> None:
+    """Issue a worker's recorded warnings in this process, each as from the module that raised it.
+
+    The warning goes through this process's filters and that module's
+    warning registry, so it shows, repeats or raises as it does with one job.
+    """
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        if filename not in modules:
+            warnings.warn_explicit(message, category, filename, lineno)
+            continue
+        home = vars(modules[filename])
+        registry = home.setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno, home["__name__"], registry, home)
 
 
 # Every BatchRow field but ``source`` is a summary column; ``n_designs`` is headed "C".

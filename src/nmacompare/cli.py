@@ -92,7 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory", type=Path)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--tau-method", choices=("dl", "reml"), default="dl")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
+    p.add_argument(
+        "--jobs", type=_jobs, default=1, metavar="N",
+        help="run the datasets on up to N forked worker processes, no more than the CPUs"
+        " and the files (default 1); the output is the same for every N",
+    )
     p.add_argument(
         "--out-dir", type=Path,
         help="write summary.csv and histogram.json here instead of stdout",
@@ -109,6 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plot)
 
     return parser
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _load(args: argparse.Namespace) -> NetworkDataset:
@@ -233,7 +247,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         raise DatasetError(f"not a directory: {directory}")
     sources = sorted(p for p in directory.iterdir() if p.suffix.lower() == ".json")
-    result = batch_run(sources, alpha=args.alpha, tau_method=TauMethod.parse(args.tau_method))
+    result = batch_run(
+        sources, alpha=args.alpha, tau_method=TauMethod.parse(args.tau_method), jobs=args.jobs
+    )
     summary = batch_to_csv(result)
     histogram = json.dumps(result.histogram, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out_dir is not None:

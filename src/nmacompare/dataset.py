@@ -111,6 +111,15 @@ def connected_components(nodes: Iterable, edges: Iterable[tuple]) -> list[list]:
     Nodes are labels or integer codes. Components are ordered by their
     smallest member so the output is deterministic regardless of input order.
     """
+    groups = {}
+    for node, root in _spanning_forest(nodes, edges)[0].items():
+        groups.setdefault(root, []).append(node)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
+def _spanning_forest(nodes: Iterable, edges: Iterable[tuple]) -> tuple[dict, list[int]]:
+    """Union-find over ``edges``: each node's component root, and the indices of the edges
+    that joined two components, which form a spanning forest of the graph."""
     parent = {node: node for node in nodes}
 
     def find(x):
@@ -119,14 +128,13 @@ def connected_components(nodes: Iterable, edges: Iterable[tuple]) -> list[list]:
             x = parent[x]
         return x
 
-    for a, b in edges:
+    forest = []
+    for i, (a, b) in enumerate(edges):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    groups = {}
-    for node in parent:
-        groups.setdefault(find(node), []).append(node)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+            forest.append(i)
+    return {node: find(node) for node in parent}, forest
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,14 @@ class TestBatch:
         assert errors[0].error.startswith(f"cannot read {str(sub)!r}: ")
         assert [row for row in result.rows if not row.error] == list(batch_run(corpus).rows)
 
+    def test_worker_processes_give_the_result_of_one(self, tmp_path, corpus_dir):
+        bad = tmp_path / "broken.json"
+        bad.write_text("{not json")
+        sources = sorted(corpus_dir.glob("*.json")) + [bad]
+        assert batch_run(sources, jobs=2) == batch_run(sources)
+        with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
+            batch_run(sources, jobs=0)
+
     def test_serializers_write_every_field_but_source(self):
         rows = (
             BatchRow("a.json", "a", "MD", 3, 2, 1, 0.0, 0, None, "untestable",

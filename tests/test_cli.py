@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nmacompare import NetworkDataset
+from nmacompare import NetworkDataset, analysis
 from nmacompare.cli import main
 
 from conftest import (
@@ -271,6 +273,16 @@ class TestCompare:
         assert code == 0
         assert calls == [("row23",)]
 
+    def test_blank_exclusion_names_no_study(self, capsys):
+        assert run(capsys, "compare", NSAID_JSON, "--exclude", " ") == (
+            1, "", "error: no studies named for exclusion\n"
+        )
+
+    def test_blank_exclusion_is_dropped_beside_a_study(self, capsys):
+        plain = run(capsys, "compare", NSAID_JSON, "--exclude", "row23")
+        assert plain[0] == 0
+        assert run(capsys, "compare", NSAID_JSON, "--exclude", "", "--exclude", "row23") == plain
+
     def test_reml_direction_matches(self, capsys):
         code, out, _ = run(capsys, "compare", SMOKE_JSON, "--tau-method", "reml")
         assert code == 0
@@ -501,3 +513,123 @@ class TestBatch:
         code, _, err = run(capsys, "batch", NSAID_JSON)
         assert code == 1
         assert "not a directory" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "batch", str(CORPUS_DIR), "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: nma batch")
+        assert err.endswith(f"error: argument --jobs: must be at least 1, got {jobs}\n")
+
+    def test_jobs_is_capped_at_the_cpus_and_the_files(self, capsys, monkeypatch):
+        """A million jobs asks the pool for no more workers than CPUs or files; none is started."""
+        import concurrent.futures
+
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers, mp_context):
+                asked.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables, chunksize):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        serial = run(capsys, "batch", str(CORPUS_DIR))
+        for cpus in (2, 64):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert run(capsys, "batch", str(CORPUS_DIR), "--jobs", str(10**6)) == serial
+        assert asked == [(2, "fork"), (3, "fork")]
+
+    def test_no_fork_while_other_threads_run(self, capsys, monkeypatch):
+        import concurrent.futures
+        import threading
+
+        forked = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: forked.append(args))
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait, args=(60,))
+        waiting.start()
+        try:
+            result = run(capsys, "batch", str(CORPUS_DIR), "--jobs", "2")
+        finally:
+            release.set()
+            waiting.join(60)
+        assert not waiting.is_alive()
+        assert result == run(capsys, "batch", str(CORPUS_DIR)) and forked == []
+
+    @staticmethod
+    def _corpus_copy(directory: Path) -> Path:
+        for path in CORPUS_DIR.glob("*.json"):
+            (directory / path.name).write_bytes(path.read_bytes())
+        return directory
+
+    def test_worker_error_ends_the_command_as_in_one_process(self, capsys, monkeypatch, tmp_path):
+        """Patched before the fork, the failure happens in a worker and reaches ``main``."""
+        directory = str(self._corpus_copy(tmp_path))
+        load = analysis.load_dataset
+
+        def failing(path):
+            if Path(path).stem == "nsaid_pain_relief":
+                raise ValueError("planted failure")
+            return load(path)
+
+        monkeypatch.setattr(analysis, "load_dataset", failing)
+        for jobs in ("1", "2"):
+            assert run(capsys, "batch", directory, "--jobs", jobs) == (
+                1, "", "error: planted failure\n"
+            )
+            assert multiprocessing.active_children() == []
+
+    def test_unexpected_worker_exception_reaches_the_caller(self, monkeypatch, tmp_path):
+        directory = str(self._corpus_copy(tmp_path))
+
+        def failing(path):
+            raise RuntimeError(f"planted in {Path(path).stem}")
+
+        monkeypatch.setattr(analysis, "load_dataset", failing)
+        for jobs in ("1", "2"):
+            with pytest.raises(RuntimeError, match="^planted in biologics_acr70$"):
+                main(["batch", directory, "--jobs", jobs])
+            assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_the_command(self, capsys):
+        assert run(capsys, "batch", str(CORPUS_DIR), "--jobs", "2")[0] == 0
+        assert multiprocessing.active_children() == []
+
+    def test_worker_warnings_are_issued_once_in_source_order(self, capsys, monkeypatch, tmp_path):
+        """A worker's warnings come out of ``main`` as with one job: in order and deduplicated.
+
+        Under the "default" filter a warning shows once per module and line,
+        so "every file" shows once although each worker raises it.
+        """
+        directory = str(self._corpus_copy(tmp_path))
+        load = analysis.load_dataset
+
+        def warning(path):
+            warnings.warn("every file", UserWarning)
+            warnings.warn(f"file {Path(path).stem}", RuntimeWarning)
+            return load(path)
+
+        monkeypatch.setattr(analysis, "load_dataset", warning)
+        seen = []
+        for jobs in ("1", "2"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                result = run(capsys, "batch", directory, "--jobs", jobs)
+            seen.append((result, [(w.category, str(w.message), w.filename, w.lineno)
+                                  for w in caught]))
+        assert seen[0] == seen[1]
+        assert seen[0][0][0] == 0
+        assert [message for _, message, _, _ in seen[0][1]] == [
+            "every file", "file biologics_acr70", "file nsaid_pain_relief",
+            "file smoke_alarm_interventions",
+        ]

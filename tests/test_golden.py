@@ -95,8 +95,11 @@ def _cases() -> dict[str, list[str]]:
     cases["nsaid_pain_relief.csv:compare-exclude-row23"] = ["compare", "--exclude", "row23", *nsaid]
     cases["nsaid_pain_relief.csv:compare-exclude-unknown"] = ["compare", "--exclude", "nope", *nsaid]
     cases["corpus:batch"] = ["batch", "{corpus}"]
+    cases["corpus:batch-jobs2"] = ["batch", "{corpus}", "--jobs", "2"]
     cases["corpus:batch-reml-out-dir"] = ["batch", "{corpus}", "--tau-method", "reml",
                                           "--out-dir", "{out}"]
+    for jobs in ("1", "2"):
+        cases[f"inputs:batch-jobs{jobs}"] = ["batch", "{in}", "--jobs", jobs]
     for seed in RANDOM_SEEDS:
         for name in ("compare-dl", "compare-reml", "loo-dl", "loo-reml", "qdecomp"):
             cases[f"random{seed}:{name}"] = [*_FITS[name], f"{{in}}/random{seed}.json"]

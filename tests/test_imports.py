@@ -59,12 +59,9 @@ def test_no_unused_imports(path):
     assert unused == []
 
 
-def test_cli_import_skips_network_modules():
-    """``xml.sax.saxutils`` pulled these in at every cold ``nma`` start; ``html`` does not."""
-    probe = (
-        "import sys, nmacompare.cli\n"
-        "print(sorted({'urllib.request', 'http.client', 'ssl', 'email'} & set(sys.modules)))"
-    )
+def _loaded_by_cli_import(names: set[str]) -> str:
+    """The sorted list of ``names`` in ``sys.modules`` after a fresh ``import nmacompare.cli``."""
+    probe = f"import sys, nmacompare.cli\nprint(sorted({names!r} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
@@ -72,7 +69,17 @@ def test_cli_import_skips_network_modules():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_skips_network_modules():
+    """``xml.sax.saxutils`` pulled these in at every cold ``nma`` start; ``html`` does not."""
+    assert _loaded_by_cli_import({"urllib.request", "http.client", "ssl", "email"}) == "[]"
+
+
+def test_cli_import_skips_pool_modules():
+    """``batch_run`` imports its process pool only when it forks one."""
+    assert _loaded_by_cli_import({"multiprocessing", "concurrent.futures"}) == "[]"
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:

@@ -160,3 +160,23 @@ def test_keeps_network_marks_the_exclusions_that_validate(ds):
             return False
 
     assert analysis._keeps_network(ds).tolist() == [keeps(obs.study_id) for obs in ds.studies]
+
+
+def test_keeps_network_checks_only_the_designs_of_one_spanning_tree(monkeypatch):
+    """Only a tree edge can hold the network together: at most n - 1 connectivity checks.
+
+    Checking every sole-study design that keeps its treatments would take 568
+    checks on this network.
+    """
+    calls = []
+    connected_components = analysis.connected_components
+
+    def counted(*args):
+        calls.append(args)
+        return connected_components(*args)
+
+    monkeypatch.setattr(analysis, "connected_components", counted)
+    ds = wide_network(300, 600)
+    keeps = analysis._keeps_network(ds)
+    assert 0 < len(calls) <= ds.n_treatments - 1 == 299
+    assert keeps.sum() == 578
