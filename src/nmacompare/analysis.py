@@ -13,7 +13,6 @@ import io
 import math
 import os
 import sys
-import threading
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -335,11 +334,13 @@ def _keeps_network(ds: NetworkDataset) -> np.ndarray:
     a, b = ds.codes
     per_treatment = np.bincount(ds.codes.ravel(), minlength=n)
     keeps = (per_treatment[a] > 1) & (per_treatment[b] > 1)
+    check = keeps & (np.bincount(ds.design_ids)[ds.design_ids] == 1)
+    if not check.any():
+        return keeps
     edges = [divmod(c, n) for c in ds.design_pairs.tolist()]
     on_tree = np.zeros(len(edges), dtype=bool)
     on_tree[_spanning_forest(range(n), edges)[1]] = True
-    sole = np.bincount(ds.design_ids)[ds.design_ids] == 1
-    for i in np.flatnonzero(keeps & sole & on_tree[ds.design_ids]).tolist():
+    for i in np.flatnonzero(check & on_tree[ds.design_ids]).tolist():
         c = ds.design_ids[i]
         keeps[i] = len(connected_components(range(n), edges[:c] + edges[c + 1:])) == 1
     return keeps
@@ -510,8 +511,11 @@ def _batch_rows(
     """``_batch_one``'s rows in source order, on ``workers`` forked processes or in this one.
 
     The pool modules are imported here only, as they would add to every
-    command's cold start.
+    command's cold start. If the loop raises, the chunks that no worker has
+    taken yet are cancelled instead of run.
     """
+    import threading
+
     if workers > 1 and threading.active_count() == 1:
         import multiprocessing
 
@@ -522,11 +526,16 @@ def _batch_rows(
             chunk = max(1, len(sources) // (4 * workers))
             rows = []
             with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                for row, caught in pool.map(
-                    _batch_recorded, sources, repeat(alpha), repeat(tau_method), chunksize=chunk
-                ):
-                    _warn_again(caught)
-                    rows.append(row)
+                try:
+                    for row, caught in pool.map(
+                        _batch_recorded, sources, repeat(alpha), repeat(tau_method),
+                        chunksize=chunk,
+                    ):
+                        _warn_again(caught)
+                        rows.append(row)
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
             return rows
     return [_batch_one(s, alpha, tau_method) for s in sources]
 

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -600,6 +601,58 @@ class TestBatch:
             with pytest.raises(RuntimeError, match="^planted in biologics_acr70$"):
                 main(["batch", directory, "--jobs", jobs])
             assert multiprocessing.active_children() == []
+
+        def raise_it():
+            raise RuntimeError("planted in f00")
+
+        serial, pool = self._loaded_before_failing(monkeypatch, tmp_path / "many", raise_it)
+        assert serial == 1 and pool < 64
+
+    def test_worker_warning_made_an_error_stops_the_batch(self, monkeypatch, tmp_path):
+        """A worker records the warning; this process raises it when it issues it again."""
+        def warn():
+            warnings.warn("planted in f00", UserWarning)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            serial, pool = self._loaded_before_failing(monkeypatch, tmp_path / "many", warn)
+        assert serial == 1 and pool < 64
+
+    @staticmethod
+    def _loaded_before_failing(monkeypatch, directory: Path, fail) -> list[int]:
+        """How many of 64 files ``batch`` loads at ``--jobs`` 1 and 2 when the first one fails.
+
+        ``fail()`` runs as the first file loads and must raise "planted in
+        f00" out of ``main``. Two workers take the files in chunks of eight.
+        The first chunk loads at once and each later file takes 20 ms, so
+        the failure reaches this process while the workers are still on
+        their first chunks; cancelling the chunks no worker has taken leaves
+        the last two unloaded (48 files).
+        """
+        directory.mkdir()
+        smoke = Path(SMOKE_JSON).read_bytes()
+        for i in range(64):
+            (directory / f"f{i:02d}.json").write_bytes(smoke)
+        log = directory / "loaded.txt"
+        load = analysis.load_dataset
+
+        def logged(path):
+            with open(log, "a") as fh:
+                fh.write(f"{Path(path).stem}\n")
+            if Path(path).stem == "f00":
+                fail()
+            time.sleep(0.02 * (Path(path).stem >= "f08"))
+            return load(path)
+
+        monkeypatch.setattr(analysis, "load_dataset", logged)
+        loaded = []
+        for jobs in ("1", "2"):
+            log.write_text("")
+            with pytest.raises(Exception, match="^planted in f00$"):
+                main(["batch", str(directory), "--jobs", jobs])
+            assert multiprocessing.active_children() == []
+            loaded.append(len(log.read_text().split()))
+        return loaded
 
     def test_no_worker_outlives_the_command(self, capsys):
         assert run(capsys, "batch", str(CORPUS_DIR), "--jobs", "2")[0] == 0
