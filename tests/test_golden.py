@@ -29,6 +29,7 @@ from nmacompare.cli import main
 
 from conftest import (
     CORPUS_DIR,
+    ESCAPING_INPUTS,
     LOO_CUTS,
     LOO_NO_DF,
     OVERFLOW_DL_TRACE,
@@ -61,6 +62,45 @@ ERROR_INPUTS = {
 }
 RANDOM_SEEDS = range(12)
 
+_C = "study_id,treat_a,treat_b,effect,se\n"
+
+
+def _studies(*studies: str) -> str:
+    return '{"measure": "MD", "studies": [' + ", ".join(studies) + "]}"
+
+
+_S = '{{"study_id": {}, "treat_a": {}, "treat_b": {}, "effect": 0.5, "se": {}}}'
+# Ingestion faults, as files of the directory ``{in}/faults``: name -> (content, the
+# --measure its ``validate`` case passes). Each fault sits past the first study or row.
+FAULT_INPUTS = {
+    **{stem + suffix: (text, "logOR" if stem == "huge-total" else "MD")
+       for stem, (suffix, text, _) in ESCAPING_INPUTS.items()},
+    "disconnected.json": (_studies(_S.format('"s1"', '"A"', '"B"', 1),
+                                   _S.format('"s2"', '"C"', '"D"', 1)), None),
+    "disconnected.csv": (_C + "s1,A,B,0.1,1\ns2,C,D,0.2,1\n", "MD"),
+    "duplicate-id.json": (_studies(_S.format('"s1"', '"P"', '"A"', 1),
+                                   _S.format('"s1"', '"P"', '"A"', 2)), None),
+    "duplicate-id.csv": (_C + "s1,P,A,0.5,0.2\ns2,P,A,0.4,0.3\ns1,P,A,0.7,0.2\n", "MD"),
+    "zero-se.json": (_studies(_S.format('"s1"', '"P"', '"A"', 1),
+                              _S.format('"s2"', '"P"', '"A"', 0)), None),
+    "zero-se.csv": (_C + "s1,P,A,0.5,0.2\n,P,A,0.4,0\n", "MD"),
+    "bool-label.json": (_studies(_S.format('"s1"', '"P"', '"A"', 1),
+                                 _S.format('"s2"', '"P"', "true", 1)), None),
+    "list-label.json": (_studies(_S.format('"s1"', '"P"', '"A"', 1),
+                                 _S.format('["s2"]', '"P"', '"A"', 1)), None),
+    "missing-field.json": (_studies(_S.format('"s1"', '"P"', '"A"', 1),
+                                    '{"study_id": "s2", "treat_a": "P", "treat_b": "A", '
+                                    '"effect": 0.5}'), None),
+    "missing-field.csv": (_C + "s1,P,A,0.5,0.2\ns2,P,A,0.4\n", "MD"),
+    "three-arms.csv": ("study_id,treatment,mean,se\ns1,P,1,1\ns1,A,2,1\n"
+                       "s2,P,1,1\ns2,A,2,1\ns2,B,3,1\n", None),
+    # labels: a blank id takes the row default, a numeric 0 is the label "0"
+    "blank-ids.json": (_studies(_S.format('" "', '"P"', '"A"', 1),
+                                _S.format('"  "', '"P"', '"A"', 2)), None),
+    "zero-id.json": (_studies(_S.format('"s1"', '"P"', '"A"', 1),
+                              _S.format("0", '"P"', '"A"', 0)), None),
+}
+
 _CORPUS = {
     "nsaid_pain_relief": ("logRR", "Placebo"),
     "smoke_alarm_interventions": ("logOR", "Usual Care"),
@@ -91,6 +131,10 @@ def _cases() -> dict[str, list[str]]:
                 cases[f"{key}:{name}"] = [*argv, *path]
             cases[f"{key}:plot-network"] = ["plot", "--kind", "network", *path]
             cases[f"{key}:plot-forest"] = ["plot", "--kind", "forest", "--target", target, *path]
+        json_path = ["{corpus}/" + stem + ".json"]
+        cases[f"{stem}.json:fit-re-ci90"] = ["fit", "--model", "re", "--ci-level", "0.9", *json_path]
+        cases[f"{stem}.json:fit-me-ci90"] = ["fit", "--model", "me", "--ci-level", "0.9", *json_path]
+        cases[f"{stem}.json:compare-ci90"] = ["compare", "--ci-level", "0.9", *json_path]
     nsaid = ["{corpus}/nsaid_pain_relief.csv", "--measure", "logRR"]
     cases["nsaid_pain_relief.csv:compare-exclude-row23"] = ["compare", "--exclude", "row23", *nsaid]
     cases["nsaid_pain_relief.csv:compare-exclude-unknown"] = ["compare", "--exclude", "nope", *nsaid]
@@ -100,6 +144,11 @@ def _cases() -> dict[str, list[str]]:
                                           "--out-dir", "{out}"]
     for jobs in ("1", "2"):
         cases[f"inputs:batch-jobs{jobs}"] = ["batch", "{in}", "--jobs", jobs]
+    for file, (_, measure) in FAULT_INPUTS.items():
+        measure_args = [] if measure is None else ["--measure", measure]
+        cases[f"faults/{file}:validate"] = ["validate", f"{{in}}/faults/{file}", *measure_args]
+    for jobs in ("1", "2"):
+        cases[f"faults:batch-jobs{jobs}"] = ["batch", "{in}/faults", "--jobs", jobs]
     for seed in RANDOM_SEEDS:
         for name in ("compare-dl", "compare-reml", "loo-dl", "loo-reml", "qdecomp"):
             cases[f"random{seed}:{name}"] = [*_FITS[name], f"{{in}}/random{seed}.json"]
@@ -116,7 +165,11 @@ CASES = _cases()
 
 
 def write_inputs(directory: Path) -> None:
-    """The conftest error inputs and the random networks, as JSON files in ``directory``."""
+    """The conftest error inputs and the random networks, as JSON files in ``directory``, and
+    the ingestion faults in its ``faults`` subdirectory."""
+    (directory / "faults").mkdir()
+    for file, (text, _) in FAULT_INPUTS.items():
+        (directory / "faults" / file).write_text(text, encoding="utf-8")
     for stem, text in ERROR_INPUTS.items():
         (directory / f"{stem}.json").write_text(text, encoding="utf-8")
     for seed in RANDOM_SEEDS:
