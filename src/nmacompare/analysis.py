@@ -191,7 +191,7 @@ def _report(
         tau_method=tau_method,
         m=m,
         n=ds.n_treatments,
-        n_designs=len(q.per_design),
+        n_designs=m - q.df_het,  # df_het = m - C, read without building q.per_design
         fe=fe,
         re=re,
         me=me,
@@ -303,8 +303,8 @@ def leave_one_out(
         block = stacked[start:start + size]
         records.update(_refit_block(ds, baseline, block, tau_method, ci_level))
     return [
-        records.get(i) or _refit_or_skip(ds, baseline, obs.study_id, tau_method, ci_level)
-        for i, obs in enumerate(ds.studies)
+        records.get(i) or _refit_or_skip(ds, baseline, study_id, tau_method, ci_level)
+        for i, study_id in enumerate(ds.study_ids)
     ]
 
 
@@ -375,7 +375,7 @@ def _refit_block(
         if q is not None:
             i = int(drop[r])
             report = _report(ds, m - 1, tau_method, q, *_model_fits(rows, r, kind, ci_level, ds))
-            records[i] = _record((ds.studies[i].study_id,), report, baseline)
+            records[i] = _record((ds.study_ids[i],), report, baseline)
     return records
 
 

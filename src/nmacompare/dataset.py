@@ -15,11 +15,12 @@ import functools
 import io
 import json
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,9 +101,20 @@ class ContrastObservation(namedtuple("ContrastObservation", "study_id treat_a tr
     def _make(cls, iterable) -> "ContrastObservation":
         return cls(*iterable)
 
-    def flipped(self) -> "ContrastObservation":
-        """Same study with arms swapped and the effect negated."""
-        return ContrastObservation(self.study_id, self.treat_b, self.treat_a, -self.effect, self.se)
+
+class _Columns(NamedTuple):
+    """The studies of a dataset as columns: ids and stripped labels, effects and ses as floats."""
+
+    study_ids: Sequence[str]
+    treat_a: Sequence[str]
+    treat_b: Sequence[str]
+    effects: np.ndarray
+    std_errors: np.ndarray
+
+    @classmethod
+    def of(cls, studies: Sequence[ContrastObservation]) -> "_Columns":
+        ids, treat_a, treat_b, effects, ses = [*zip(*studies)] or [()] * 5
+        return cls(ids, treat_a, treat_b, np.array(effects, dtype=float), np.array(ses, dtype=float))
 
 
 def connected_components(nodes: Iterable, edges: Iterable[tuple]) -> list[list]:
@@ -137,72 +149,86 @@ def _spanning_forest(nodes: Iterable, edges: Iterable[tuple]) -> tuple[dict, lis
     return {node: find(node) for node in parent}, forest
 
 
-@dataclass(frozen=True)
 class NetworkDataset:
-    """Validated collection of two-arm contrasts over a connected treatment network.
+    """Validated two-arm contrasts over a connected treatment network, held as columns.
 
-    ``treatments`` is derived (sorted labels); ``reference`` defaults to the
+    ``studies`` is a sequence of ``ContrastObservation`` records, or the
+    parsers' checked ``_Columns``. ``study_ids`` holds the ids in study order,
+    ``treatments`` the sorted labels; ``reference`` defaults to the
     lexicographically smallest treatment when not supplied. The numeric
     columns are built once, at construction: ``effects()``, ``std_errors()``,
     ``variances()`` and ``weights()`` return the same read-only arrays, as are
     the integer codes: ``codes`` holds each study's (treat_a, treat_b) indices
     into ``treatments``, ``design_pairs`` the sorted codes lo * n + hi of the
-    designs and ``design_ids`` each study's index into them. ``design`` is the
-    contrast coding (``DesignMatrix``), built on first use.
+    designs and ``design_ids`` each study's index into them. ``studies``, the
+    same data as ``ContrastObservation`` records, and ``design``, the contrast
+    coding (``DesignMatrix``), are built when first read.
     """
 
-    name: str
-    measure: EffectMeasure
-    studies: tuple[ContrastObservation, ...]
-    reference: str = ""
-    treatments: tuple[str, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        studies = tuple(self.studies)
-        object.__setattr__(self, "studies", studies)
-        if not studies:
+    def __init__(
+        self,
+        name: str,
+        measure: EffectMeasure,
+        studies: Iterable[ContrastObservation] | _Columns,
+        reference: str = "",
+    ) -> None:
+        if type(studies) is not _Columns:
+            records = tuple(studies)
+            if records and set(map(type, records)) != {ContrastObservation}:
+                # a plain tuple unpacks like a study but has not been through its checks
+                raise TypeError("studies must be ContrastObservation records")
+            self.studies = records
+            studies = _Columns.of(records)
+        ids, treat_a, treat_b, effects, std_errors = studies
+        if not ids:
             raise DatasetError("dataset contains no studies")
-        if set(map(type, studies)) != {ContrastObservation}:
-            # a plain tuple unpacks like a study but has not been through its checks
-            raise TypeError("studies must be ContrastObservation records")
-        ids, treat_a, treat_b, effects, ses = zip(*studies)
-        seen: set[str] = set()
-        for study_id in ids:
-            if study_id in seen:
-                raise DatasetError(f"duplicate study id {study_id!r}")
-            seen.add(study_id)
+        if len(set(ids)) < len(ids):
+            seen: set[str] = set()
+            for study_id in ids:
+                if study_id in seen:
+                    raise DatasetError(f"duplicate study id {study_id!r}")
+                seen.add(study_id)
         labels = sorted({*treat_a, *treat_b})
-        object.__setattr__(self, "treatments", tuple(labels))
-        ref = self.reference.strip() if self.reference else labels[0]
+        ref = reference.strip() if reference else labels[0]
         if ref not in labels:
             raise DatasetError(f"reference treatment {ref!r} not in dataset")
-        object.__setattr__(self, "reference", ref)
         # code order is label order, so pair codes sort as the label pairs do
-        code, n, m = {t: j for j, t in enumerate(labels)}, len(labels), len(studies)
+        code, n, m = {t: j for j, t in enumerate(labels)}, len(labels), len(ids)
         a = np.fromiter(map(code.__getitem__, treat_a), np.intp, m)
         b = np.fromiter(map(code.__getitem__, treat_b), np.intp, m)
-        pairs, design_ids = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        pairs, design_ids = _pair_index(np.minimum(a, b) * n + np.maximum(a, b), n)
         components = connected_components(range(n), (divmod(c, n) for c in pairs.tolist()))
         if len(components) > 1:
             parts = " | ".join("{" + ",".join(labels[j] for j in c) + "}" for c in components)
             raise DatasetError(f"disconnected network: {parts}")
-        std_errors = np.array(ses, dtype=float)
+        self.name, self.measure, self.reference = name, measure, ref
+        self.study_ids, self.treatments = tuple(ids), tuple(labels)
+        std_errors = np.asarray(std_errors, dtype=float)
         variances = std_errors**2
-        for name, column in (
+        for attr, column in (
             ("codes", np.array((a, b))),
             ("design_pairs", pairs),
             ("design_ids", design_ids),
-            ("_effects", np.array(effects, dtype=float)),
+            ("_effects", np.asarray(effects, dtype=float)),
             ("_std_errors", std_errors),
             ("_variances", variances),
             ("_weights", 1.0 / variances),
         ):
             column.setflags(write=False)
-            object.__setattr__(self, name, column)
+            setattr(self, attr, column)
+
+    @functools.cached_property
+    def studies(self) -> tuple[ContrastObservation, ...]:
+        """The studies as records, in study order."""
+        labels, (a, b) = self.treatments, self.codes.tolist()
+        return tuple(map(
+            ContrastObservation, self.study_ids, [labels[j] for j in a], [labels[j] for j in b],
+            self._effects.tolist(), self._std_errors.tolist(),
+        ))
 
     @property
     def n_studies(self) -> int:
-        return len(self.studies)
+        return len(self.study_ids)
 
     @property
     def n_treatments(self) -> int:
@@ -233,16 +259,35 @@ class NetworkDataset:
         back to the default rule.
         """
         drop = {str(s).strip() for s in study_ids}
-        known = {obs.study_id for obs in self.studies}
-        unknown = sorted(drop - known)
+        if "" in drop:
+            raise DatasetError("blank study id: every study has a non-empty id")
+        unknown = sorted(drop.difference(self.study_ids))
         if unknown:
             raise DatasetError(f"unknown study id(s): {', '.join(unknown)}")
-        remaining = tuple(obs for obs in self.studies if obs.study_id not in drop)
-        if not remaining:
+        keep = np.array([s not in drop for s in self.study_ids], dtype=bool)
+        if not keep.any():
             raise DatasetError("exclusion removes every study")
-        labels = {t for obs in remaining for t in (obs.treat_a, obs.treat_b)}
-        ref = self.reference if self.reference in labels else ""
-        return NetworkDataset(self.name, self.measure, remaining, ref)
+        labels, codes = self.treatments, self.codes[:, keep]
+        ref = self.reference if (codes == labels.index(self.reference)).any() else ""
+        a, b = codes.tolist()
+        return NetworkDataset(self.name, self.measure, _Columns(
+            [s for s in self.study_ids if s not in drop], [labels[j] for j in a],
+            [labels[j] for j in b], self._effects[keep], self._std_errors[keep],
+        ), ref)
+
+
+def _pair_index(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct pair codes (each below n^2), and each study's index into them.
+
+    ``np.unique(codes, return_inverse=True)`` without its sort: a table of the
+    n^2 codes marks the ones present, unless it would be much larger than the
+    studies.
+    """
+    if n * n > 64 * len(codes) + 4096:
+        return np.unique(codes, return_inverse=True)
+    present = np.zeros(n * n, dtype=bool)
+    present[codes] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[codes]
 
 
 class Design(NamedTuple):
@@ -456,11 +501,11 @@ def _build(source, fmt, measure, reference, name, default_name) -> NetworkDatase
     if fmt_key not in ("csv", "json"):
         raise DatasetError(f"unknown dataset format {fmt!r} (expected csv or json)")
     parse = _parse_json if fmt_key == "json" else _parse_csv
-    measure, studies, file_name, file_reference = parse(text, measure)
+    measure, columns, file_name, file_reference = parse(text, measure)
     return NetworkDataset(
         name or file_name or default_name,
         measure,
-        tuple(studies),
+        columns,
         file_reference if reference is None else reference,
     )
 
@@ -487,9 +532,38 @@ def _number(raw, column: str, kind: type) -> float | int:
         raise DatasetError(f"non-numeric {column} {shown}") from None
 
 
+def _labels(values: Iterable) -> list[str]:
+    return list(map(str.strip, map(str, values)))
+
+
+def _floats(values: Sequence) -> np.ndarray | None:
+    """``float(v)`` of every value, or None where one of them does not convert."""
+    try:
+        return np.fromiter(map(float, values), float, len(values))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _checked(ids, treat_a, treat_b, effects, ses) -> _Columns | None:
+    """The columns, if every study passes ``ContrastObservation``'s checks, else None.
+
+    The checks run over whole columns; on None the parser builds the studies
+    one by one, so that the first faulty one raises its own error.
+    """
+    if effects is None or ses is None:
+        return None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        var = ses * ses
+        ok = np.isfinite(effects) & np.isfinite(ses) & (ses > 0) & (0.0 < var) & (var < math.inf)
+        ok &= 1.0 / var < math.inf
+    if ok.all() and all(treat_a) and all(treat_b) and not any(map(operator.eq, treat_a, treat_b)):
+        return _Columns(ids, treat_a, treat_b, effects, ses)
+    return None
+
+
 def _parse_csv(
     text: str, measure: EffectMeasure | None
-) -> tuple[EffectMeasure, list[ContrastObservation], str, str]:
+) -> tuple[EffectMeasure, _Columns, str, str]:
     """Measure and studies of a CSV dataset; CSV has no name or reference ("")."""
     reader = csv.reader(io.StringIO(text))
     try:
@@ -504,15 +578,7 @@ def _parse_csv(
     if header == _CONTRAST_HEADER:
         if measure is None:
             raise DatasetError("effect measure required for contrast CSV input")
-        studies = []
-        for i, row in enumerate(body, start=1):
-            try:
-                if len(row) != 5:
-                    raise DatasetError(f"expected 5 fields, got {len(row)}")
-                studies.append(ContrastObservation(row[0].strip() or f"row{i}", *row[1:]))
-            except DatasetError as exc:
-                raise _located(f"row {i}", exc) from None
-        return measure, studies, "", ""
+        return measure, _contrast_columns(body) or _Columns.of(_contrast_rows(body)), "", ""
     # arm-level rows, two per study: the header picks how the two value
     # columns parse and how (a1, a2, b1, b2) become an effect and its se
     if header == _ARM_BINARY_HEADER:
@@ -552,13 +618,40 @@ def _parse_csv(
         except DatasetError as exc:
             raise _located(f"study {study_id!r}", exc) from None
         studies.append(ContrastObservation(study_id, treat_a, treat_b, effect, se))
-    return measure, studies, "", ""
+    return measure, _Columns.of(studies), "", ""
+
+
+def _contrast_columns(body: list[list[str]]) -> _Columns | None:
+    """The checked columns of contrast rows, or None if a row is faulty."""
+    if not body or set(map(len, body)) != {5}:
+        return None
+    ids, treat_a, treat_b, effects, ses = zip(*body)
+    if "_" in "".join(effects) or "_" in "".join(ses):  # float() would read "1_00" as 100
+        return None
+    ids = [study_id or f"row{i}" for i, study_id in enumerate(_labels(ids), start=1)]
+    return _checked(ids, _labels(treat_a), _labels(treat_b), _floats(effects), _floats(ses))
+
+
+def _contrast_rows(body: list[list[str]]) -> list[ContrastObservation]:
+    """The studies of contrast rows, one by one: the first faulty row raises its error."""
+    studies = []
+    for i, row in enumerate(body, start=1):
+        try:
+            if len(row) != 5:
+                raise DatasetError(f"expected 5 fields, got {len(row)}")
+            studies.append(ContrastObservation(row[0].strip() or f"row{i}", *row[1:]))
+        except DatasetError as exc:
+            raise _located(f"row {i}", exc) from None
+    return studies
 
 
 def _parse_json(
     text: str, measure: EffectMeasure | None
-) -> tuple[EffectMeasure, list[ContrastObservation], str, str]:
-    """Measure, studies, name and reference of a JSON dataset ("" for a missing field)."""
+) -> tuple[EffectMeasure, _Columns, str, str]:
+    """Measure, studies, name and reference of a JSON dataset ("" for a missing field).
+
+    A label is ``str(v).strip()``; a study id that comes out empty is "row<i>".
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -579,15 +672,38 @@ def _parse_json(
         if "measure" not in doc:
             raise DatasetError("JSON dataset missing 'measure'")
         measure = EffectMeasure.parse(doc["measure"])
+    columns = _json_columns(raw_studies) or _Columns.of(_json_rows(raw_studies))
+    name, reference = (str(doc.get(key, "")).strip() for key in ("name", "reference"))
+    return measure, columns, name, reference
+
+
+def _json_columns(entries: list) -> _Columns | None:
+    """The checked columns of JSON studies, or None if a study is faulty."""
+    try:
+        treat_a, treat_b = [e["treat_a"] for e in entries], [e["treat_b"] for e in entries]
+        effects, ses = [e["effect"] for e in entries], [e["se"] for e in entries]
+        ids = [e.get("study_id", "") for e in entries]
+    except (KeyError, TypeError):  # a missing field, or an entry that is not an object
+        return None
+    # json.loads yields exact types, so these checks also reject bools
+    if not {*map(type, effects), *map(type, ses)} <= {int, float}:
+        return None
+    if not {*map(type, ids), *map(type, treat_a), *map(type, treat_b)} <= {str, int, float}:
+        return None
+    ids = [study_id or f"row{i}" for i, study_id in enumerate(_labels(ids), start=1)]
+    return _checked(ids, _labels(treat_a), _labels(treat_b), _floats(effects), _floats(ses))
+
+
+def _json_rows(entries: list) -> list[ContrastObservation]:
+    """The studies of JSON entries, one by one: the first faulty entry raises its error."""
     studies = []
-    for i, entry in enumerate(raw_studies, start=1):
+    for i, entry in enumerate(entries, start=1):
         try:
             if not isinstance(entry, dict):
                 raise DatasetError("expected an object")
             missing = [k for k in ("treat_a", "treat_b", "effect", "se") if k not in entry]
             if missing:
                 raise DatasetError(f"missing field(s) {', '.join(missing)}")
-            # json.loads yields exact types, so these checks also reject bools
             for key in ("effect", "se"):
                 if type(entry[key]) not in (int, float):
                     raise DatasetError(f"field {key!r} must be a number")
@@ -595,9 +711,9 @@ def _parse_json(
                 if type(entry.get(key, "")) not in (str, int, float):
                     raise DatasetError(f"field {key!r} must be a string or a number")
             studies.append(ContrastObservation(
-                entry.get("study_id") or f"row{i}",
+                str(entry.get("study_id", "")).strip() or f"row{i}",
                 entry["treat_a"], entry["treat_b"], entry["effect"], entry["se"],
             ))
         except DatasetError as exc:
             raise _located(f"study {i}", exc) from None
-    return measure, studies, str(doc.get("name") or ""), str(doc.get("reference") or "")
+    return studies

@@ -14,6 +14,7 @@ depend on how individual studies orient their contrast.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,13 +55,16 @@ class StudyContribution(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class QDecomposition:
     """Q_total = Q_het + Q_inc with degrees of freedom and tail probabilities.
 
     ``p_het``/``p_inc`` are None when the corresponding degrees of freedom are
     zero: the component is untestable, which callers must distinguish from
-    "tested and homogeneous".
+    "tested and homogeneous". ``per_design`` and ``per_study`` are the
+    contribution records, built when first read from the arrays that
+    ``_split`` keeps in ``_parts``; ``==``, ``hash`` and ``repr`` treat them
+    as fields.
     """
 
     q_total: float
@@ -70,8 +74,38 @@ class QDecomposition:
     df_inc: int
     p_het: float | None
     p_inc: float | None
-    per_design: tuple[DesignContribution, ...]
-    per_study: tuple[StudyContribution, ...]
+    # (dataset, per-study design index, designs present, per-design Q_het,
+    # pooled design means, per-study Q_het, weights)
+    _parts: tuple
+
+    _FIELDS = ("q_total", "q_het", "q_inc", "df_het", "df_inc", "p_het", "p_inc",
+               "per_design", "per_study")
+
+    @functools.cached_property
+    def per_design(self) -> tuple[DesignContribution, ...]:
+        ds, ids, here, design_q, pooled, _, _ = self._parts
+        designs = _designs(ds.treatments, ds.design_pairs, ids)
+        return tuple(map(DesignContribution, designs, design_q[here].tolist(), pooled[here].tolist()))
+
+    @functools.cached_property
+    def per_study(self) -> tuple[StudyContribution, ...]:
+        *_, study_q, w = self._parts
+        return tuple(map(StudyContribution, range(len(w)), study_q.tolist(), w.tolist()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
     def screen(self, alpha: float = 0.05) -> ScreenResult:
         """Test within-design heterogeneity at level alpha.
@@ -159,18 +193,8 @@ def _split(
                 raise
             splits.append(None)
             continue
-        designs, here = _designs(ds.treatments, ds.design_pairs, ids[r]), present[r]
         splits.append(QDecomposition(
-            q_total=q_t,
-            q_het=q_h,
-            q_inc=q_i,
-            df_het=df_h,
-            df_inc=df_i,
-            p_het=p_het,
-            p_inc=p_inc,
-            per_design=tuple(map(DesignContribution, designs, per_design_q[r, here].tolist(),
-                                 pooled[r, here].tolist())),
-            per_study=tuple(map(StudyContribution, range(m), per_study_q[r].tolist(),
-                                w[r].tolist())),
+            q_t, q_h, q_i, df_h, df_i, p_het, p_inc,
+            (ds, ids[r], present[r], per_design_q[r], pooled[r], per_study_q[r], w[r]),
         ))
     return splits

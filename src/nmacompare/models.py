@@ -231,7 +231,7 @@ def _raise_fault(fault, ds: NetworkDataset | None = None, tau2=0.0, denom=0.0) -
         return
     i = int(np.argmax(w))
     raise EstimationError(
-        f"{what}: study {ds.studies[i].study_id!r} has weight {weight} = {w[i]:.3g}, "
+        f"{what}: study {ds.study_ids[i]!r} has weight {weight} = {w[i]:.3g}, "
         f"{w[i] / w.min():.3g} times the smallest, and the other weights are lost in "
         "rounding against it"
     )
@@ -507,7 +507,7 @@ def estimate_tau2_dl(ds: NetworkDataset, fe: ModelFit) -> float:
 _SCAN_POINTS = 16
 
 # No array of a stacked solve holds much more than this many elements.
-_STACK_ELEMENTS = 1 << 16
+_STACK_ELEMENTS = 1 << 15
 
 
 def _stack_rows(m: int, p: int) -> int:

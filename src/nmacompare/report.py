@@ -379,7 +379,7 @@ def _q_entry(ds: NetworkDataset, q: QDecomposition) -> dict:
     entry["per_study"] = [
         {
             "index": c.index,
-            "study_id": ds.studies[c.index].study_id,
+            "study_id": ds.study_ids[c.index],
             "q_het": c.q_het,
             "weight": c.weight,
         }

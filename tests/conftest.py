@@ -150,6 +150,11 @@ def make_dataset(rows, measure=EffectMeasure.MD, name="test", reference=""):
     return NetworkDataset(name, measure, studies, reference)
 
 
+def flipped(obs: ContrastObservation) -> ContrastObservation:
+    """Same study with arms swapped and the effect negated."""
+    return ContrastObservation(obs.study_id, obs.treat_b, obs.treat_a, -obs.effect, obs.se)
+
+
 def single_pair(effects, ses, measure=EffectMeasure.MD):
     """All studies compare the same two treatments P (baseline) and A."""
     return make_dataset(

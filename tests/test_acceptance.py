@@ -37,6 +37,7 @@ from conftest import (
     classical_cochran_q,
     decompose,
     enumerate_small_connected_networks,
+    flipped,
     random_network,
     reml_grid_argmax,
 )
@@ -206,13 +207,13 @@ def test_c10_invariance_suite(criterion):
             )
             _assert_stats_match(_invariant_stats(compare_models(permuted)), expected)
 
-            flipped = NetworkDataset(
+            turned = NetworkDataset(
                 ds.name,
                 ds.measure,
-                tuple(o.flipped() if rng.random() < 0.5 else o for o in ds.studies),
+                tuple(flipped(o) if rng.random() < 0.5 else o for o in ds.studies),
                 ds.reference,
             )
-            _assert_stats_match(_invariant_stats(compare_models(flipped)), expected)
+            _assert_stats_match(_invariant_stats(compare_models(turned)), expected)
 
             other_ref = NetworkDataset(ds.name, ds.measure, ds.studies, ds.treatments[-1])
             _assert_stats_match(_invariant_stats(compare_models(other_ref)), expected)

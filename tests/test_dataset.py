@@ -26,7 +26,9 @@ from nmacompare import (
     parse_dataset,
 )
 
-from conftest import ESCAPING_INPUTS, decompose, dense_design, make_dataset, random_network
+from conftest import (
+    ESCAPING_INPUTS, decompose, dense_design, flipped, make_dataset, random_network,
+)
 from test_kernels import networks
 
 
@@ -330,7 +332,7 @@ INGESTION_MESSAGES = [
      + ', {"treat_a": "P", "treat_b": "A", "effect": 0.5, "se": ' + "9" * 400 + "}]}",
      "study 4: effect or se is too large for a floating-point number"),
     ("json", None, _json(_s1(effect=float("nan"))), "study 1: study 's1': non-finite effect"),
-    ("json", None, _json(_s1(study_id=0, se=0)), "study 1: study 'row1': non-positive standard error"),
+    ("json", None, _json(_s1(study_id=0, se=0)), "study 1: study '0': non-positive standard error"),
     ("json", None, _json(_s1(se=-0.2)), "study 1: study 's1': non-positive standard error"),
     ("json", None, _json(_s1(effect=1e308, se=1e-200)),
      f"study 1: study 's1': standard error 1e-200 {_SE_MSG}"),
@@ -428,13 +430,13 @@ class TestLoadDataset:
     ], ids=["csv", "named-json", "unnamed-json"])
     def test_constructs_the_dataset_once(self, tmp_path, monkeypatch, file_name, text):
         calls = []
-        post_init = NetworkDataset.__post_init__
+        init = NetworkDataset.__init__
 
-        def counting(ds):
+        def counting(ds, *args):
             calls.append(ds)
-            post_init(ds)
+            init(ds, *args)
 
-        monkeypatch.setattr(NetworkDataset, "__post_init__", counting)
+        monkeypatch.setattr(NetworkDataset, "__init__", counting)
         path = tmp_path / file_name
         path.write_text(text, encoding="utf-8")
         load_dataset(path, measure="MD")
@@ -819,5 +821,5 @@ class TestDatasetInvariants:
 
     def test_flipped(self):
         obs = ContrastObservation("s1", "P", "A", 0.5, 0.2)
-        back = obs.flipped()
+        back = flipped(obs)
         assert (back.treat_a, back.treat_b, back.effect) == ("A", "P", -0.5)

@@ -21,6 +21,7 @@ from conftest import (
     classical_cochran_q,
     decompose,
     enumerate_small_connected_networks,
+    flipped,
     make_dataset,
     random_network,
     single_pair,
@@ -142,13 +143,13 @@ class TestInvariances:
 
     def test_orientation_flips(self, smoke):
         rng = np.random.default_rng(29)
-        flipped = NetworkDataset(
+        turned = NetworkDataset(
             smoke.name, smoke.measure,
-            tuple(o.flipped() if rng.random() < 0.5 else o for o in smoke.studies),
+            tuple(flipped(o) if rng.random() < 0.5 else o for o in smoke.studies),
             smoke.reference,
         )
         _, _, q0 = decompose(smoke)
-        _, _, q1 = decompose(flipped)
+        _, _, q1 = decompose(turned)
         assert q1.q_het == pytest.approx(q0.q_het, rel=1e-10)
         assert q1.q_inc == pytest.approx(q0.q_inc, rel=1e-8, abs=1e-10)
         for c0, c1 in zip(q0.per_study, q1.per_study):

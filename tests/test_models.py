@@ -30,6 +30,7 @@ from conftest import (
     OVERFLOW_REML_BOUND,
     REML_TOP_EDGE,
     dense_design,
+    flipped,
     large_random_network,
     make_dataset,
     newton_terms,
@@ -482,17 +483,17 @@ class TestScaleAndReferenceInvariance:
 
     def test_orientation_flip_preserves_fit(self, smoke):
         """Swapping arms and negating effects is a pure relabeling."""
-        flipped = NetworkDataset(
+        turned = NetworkDataset(
             smoke.name, smoke.measure,
-            tuple(obs.flipped() for obs in smoke.studies), smoke.reference,
+            tuple(flipped(obs) for obs in smoke.studies), smoke.reference,
         )
         x = smoke.design
-        xf = flipped.design
+        xf = turned.design
         assert xf.column_treatments == x.column_treatments
-        fe, fef = fit_fe(smoke), fit_fe(flipped)
+        fe, fef = fit_fe(smoke), fit_fe(turned)
         assert np.allclose(fef.d_hat, fe.d_hat, atol=1e-12)
         assert fef.aic == pytest.approx(fe.aic, abs=1e-10)
-        assert q_total(flipped, fef) == pytest.approx(q_total(smoke, fe), rel=1e-12)
+        assert q_total(turned, fef) == pytest.approx(q_total(smoke, fe), rel=1e-12)
 
     def test_reference_change_preserves_contrasts(self, smoke):
         """Pairwise contrasts and fitted values do not depend on the reference."""

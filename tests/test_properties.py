@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from nmacompare import NetworkDataset, compare_models, fit_fe, q_decompose
 
+from conftest import flipped
 from test_kernels import networks
 
 
@@ -39,7 +40,7 @@ def test_comparison_invariances(ds, seed, c):
     variants = {
         "reference": ds.studies,
         "order": tuple(ds.studies[j] for j in rng.permutation(ds.n_studies)),
-        "orientation": tuple(o.flipped() if f else o for o, f in zip(ds.studies, flips)),
+        "orientation": tuple(flipped(o) if f else o for o, f in zip(ds.studies, flips)),
         "scale": tuple(o._replace(effect=c * o.effect, se=c * o.se) for o in ds.studies),
     }
     reports = {
