@@ -114,7 +114,8 @@ class _Columns(NamedTuple):
     @classmethod
     def of(cls, studies: Sequence[ContrastObservation]) -> "_Columns":
         ids, treat_a, treat_b, effects, ses = [*zip(*studies)] or [()] * 5
-        return cls(ids, treat_a, treat_b, np.array(effects, dtype=float), np.array(ses, dtype=float))
+        effects, ses = np.array(effects, dtype=float), np.array(ses, dtype=float)
+        return cls(ids, treat_a, treat_b, effects, ses)
 
 
 def connected_components(nodes: Iterable, edges: Iterable[tuple]) -> list[list]:

@@ -85,7 +85,8 @@ class QDecomposition:
     def per_design(self) -> tuple[DesignContribution, ...]:
         ds, ids, here, design_q, pooled, _, _ = self._parts
         designs = _designs(ds.treatments, ds.design_pairs, ids)
-        return tuple(map(DesignContribution, designs, design_q[here].tolist(), pooled[here].tolist()))
+        q, means = design_q[here].tolist(), pooled[here].tolist()
+        return tuple(map(DesignContribution, designs, q, means))
 
     @functools.cached_property
     def per_study(self) -> tuple[StudyContribution, ...]:

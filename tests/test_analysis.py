@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from nmacompare import (
     BatchResult,
     BatchRow,
     Classification,
+    ContrastObservation,
     DatasetError,
+    DesignContribution,
     EstimationError,
     NetworkDataset,
     NumericError,
     ScreenResult,
+    StudyContribution,
     TauMethod,
     batch_run,
     batch_to_csv,
@@ -24,6 +28,7 @@ from nmacompare import (
     compare_models,
     exclude_and_refit,
     leave_one_out,
+    load_dataset,
     parse_dataset,
 )
 
@@ -234,6 +239,23 @@ class TestBatch:
         assert by_name["nsaid-pain-relief"].delta_aic < -3
         assert by_name["smoke-alarm-interventions"].delta_aic < -3
         assert by_name["biologics-acr70"].delta_aic > 3
+
+    def test_serial_batch_builds_no_study_records(self, corpus_dir, monkeypatch):
+        """A batch row reads columns and Q arrays only: no ``ContrastObservation``,
+        ``StudyContribution`` or ``DesignContribution`` is built. The same spy counts
+        them once a comparison's records are read."""
+        built = Counter()
+        for cls in (ContrastObservation, StudyContribution, DesignContribution):
+            monkeypatch.setattr(cls, "__new__", lambda cls, *a, new=cls.__new__: (
+                built.update([cls.__name__]) or new(cls, *a)))
+        sources = sorted(corpus_dir.glob("*.json"))
+        rows = batch_run(sources, jobs=1).rows
+        assert [row.error for row in rows] == [""] * 3 and not built
+        report = compare_models(load_dataset(sources[0]))
+        report.q.per_design, report.q.per_study
+        assert built == {"DesignContribution": report.n_designs, "StudyContribution": report.m}
+        load_dataset(sources[0]).studies
+        assert built["ContrastObservation"] == report.m
 
     def test_empty_input(self):
         result = batch_run([])

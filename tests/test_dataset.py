@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from nmacompare import (
     NetworkDataset,
     build_design_matrix,
     connected_components,
+    dataset,
     derive_contrast_binary,
     derive_contrast_continuous,
     group_designs,
@@ -192,6 +194,24 @@ class TestParseJson:
         assert (ds.name, ds.reference) == ("3", "2")
         with pytest.raises(DatasetError, match="field 'measure' must be a string$"):
             parse_dataset(json.dumps({"measure": 1, "studies": [study]}), "json")
+
+    def test_labels_take_their_default_only_when_blank(self):
+        """A label is str(v).strip(); only a blank one takes its default, as in CSV."""
+        studies = [
+            {"study_id": " ", "treat_a": "P", "treat_b": "A", "effect": 0.5, "se": 0.2},
+            {"study_id": "\t", "treat_a": "P", "treat_b": 0, "effect": 0.4, "se": 0.3},
+            {"study_id": 0, "treat_a": "P", "treat_b": "A", "effect": 0.3, "se": 0.2},
+            {"treat_a": "A", "treat_b": 0, "effect": 0.1, "se": 0.4},
+        ]
+        ds = parse_dataset(json.dumps({"name": 0, "reference": 0, "measure": "MD",
+                                       "studies": studies}), "json")
+        assert ds.study_ids == ("row1", "row2", "0", "row4")
+        assert (ds.name, ds.reference) == ("0", "0")
+        blank = parse_dataset(json.dumps({"name": " ", "reference": " ", "measure": "MD",
+                                          "studies": studies}), "json")
+        assert (blank.name, blank.reference) == ("dataset", "0")
+        text = "study_id,treat_a,treat_b,effect,se\n ,P,A,0.5,0.2\n\t,P,0,0.4,0.3\n0,P,A,0.3,0.2\n"
+        assert parse_dataset(text, "csv", measure="MD").study_ids == ("row1", "row2", "0")
 
 
 def test_unreadable_path_is_a_dataset_error(tmp_path):
@@ -420,6 +440,152 @@ def test_columns_are_the_study_fields(ds, data):
     with pytest.raises(DatasetError) as info:
         NetworkDataset(ds.name, ds.measure, repeated, ds.reference)
     assert str(info.value) == f"duplicate study id {studies[i].study_id!r}"
+
+
+def _column_bits(ds: NetworkDataset) -> tuple:
+    """Everything a dataset holds, with its float columns as bytes."""
+    floats = (getattr(ds, name)() for name in ("effects", "std_errors", "variances", "weights"))
+    return (
+        ds.name, ds.measure, ds.reference, ds.study_ids, ds.treatments, ds.codes.tolist(),
+        ds.design_pairs.tolist(), ds.design_ids.tolist(), *((c.dtype, c.tobytes()) for c in floats),
+    )
+
+
+def _outcome(build) -> tuple:
+    """The columns ``build()`` gives, or the text of the DatasetError it raises."""
+    try:
+        return _column_bits(build())
+    except DatasetError as exc:
+        return ("error", str(exc))
+
+
+def _parsed(*args, **kwargs) -> tuple:
+    """``_outcome`` of ``parse_dataset``; a dataset it returns was built with no
+    ``ContrastObservation``, so from the columns alone."""
+    built = []
+    new = ContrastObservation.__new__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ContrastObservation, "__new__", lambda *a: built.append(a) or new(*a))
+        outcome = _outcome(lambda: parse_dataset(*args, **kwargs))
+    assert outcome[0] == "error" or built == []
+    return outcome
+
+
+_LABEL_POOL = ("A", "B", " C ", "D2", "10", "é", "0.5")
+
+
+@st.composite
+def _network_rows(draw, numeric_labels: bool):
+    """(study_id, treat_a, treat_b, effect, se) rows of a connected network; with
+    ``numeric_labels``, JSON may give ids and labels as numbers."""
+    labels = draw(st.lists(st.sampled_from(_LABEL_POOL), min_size=2, max_size=5, unique=True))
+    if numeric_labels:
+        labels = [draw(st.sampled_from([t, 7, 2.5])) if t.strip() == "10" else t for t in labels]
+    n, m = len(labels), draw(st.integers(len(labels) - 1, 12))
+    pairs = [(draw(st.integers(0, j - 1)), j) for j in range(1, n)]
+    while len(pairs) < m:
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        pairs.append((a, b))
+    ids = draw(st.sampled_from(["s", "", " ", "id "]))
+    rows = []
+    for i, (a, b) in enumerate(pairs):
+        if draw(st.booleans()):
+            a, b = b, a
+        study_id = f"{ids}{i}" if ids.strip() else ids
+        if numeric_labels and draw(st.integers(0, 5)) == 0:
+            study_id = 1000 + i
+        effect = draw(st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**20, 10**20))
+        se = draw(st.floats(1e-6, 1e6) | st.integers(1, 10**6))
+        rows.append([study_id, labels[a], labels[b], effect, se])
+    return rows
+
+
+# faults planted into one JSON study: (field, value); "DROP" removes the field, "SAME"
+# repeats the study's treat_a or the id of the study before it
+_JSON_FAULTS = [
+    None, ("effect", math.nan), ("effect", -math.inf), ("effect", "0.5"), ("effect", True),
+    ("effect", 10**400), ("se", 0), ("se", -0.3), ("se", 1e-160), ("se", 1e-200),
+    ("se", 1e200), ("se", None), ("se", False), ("treat_a", " "), ("treat_b", ""),
+    ("treat_a", None),
+    ("treat_b", [1]), ("study_id", {"a": 1}), ("study_id", "SAME"), ("treat_b", "SAME"),
+    ("effect", "DROP"), ("treat_a", "DROP"), ("entry", 3), ("entry", "x"), ("entry", []),
+]
+# faults planted into one CSV row: (column, cell); None cuts the row short, column 5 adds
+# a sixth field
+_CSV_FAULTS = [
+    None, (3, "nan"), (3, "-inf"), (3, "x"), (3, ""), (3, "1_0"), (3, "0x1"), (4, "0"),
+    (4, "-1"), (4, "1e-160"), (4, "1e-200"), (4, "1e200"), (4, " "), (4, "2_5"), (1, " "),
+    (2, ""), (2, "SAME"), (0, "SAME"), (4, None), (5, "9"),
+]
+
+
+@pytest.mark.parametrize("fault", _JSON_FAULTS, ids=repr)
+@settings(derandomize=True, max_examples=12, database=None, deadline=None)
+@given(rows=_network_rows(numeric_labels=True), data=st.data())
+def test_json_columns_match_the_per_study_loop(fault, rows, data):
+    """Parsed as columns, a JSON dataset is the one built from ``ContrastObservation``
+    records bit for bit, or raises the loop's error for a fault planted at a random study."""
+    entries = [dict(zip(("study_id", "treat_a", "treat_b", "effect", "se"), r)) for r in rows]
+    for entry in entries:
+        if entry["study_id"] == "":
+            del entry["study_id"]
+    if fault is not None:
+        i = data.draw(st.integers(0, len(entries) - 1))
+        field, value = fault
+        if field == "entry":
+            entries[i] = value
+        elif value == "DROP":
+            del entries[i][field]
+        elif value == "SAME":
+            entries[i][field] = entries[i]["treat_a"] if field == "treat_b" else \
+                entries[i - 1].get("study_id", "")
+        else:
+            entries[i][field] = value
+    text = json.dumps({"name": "net", "measure": "MD", "studies": entries})
+    expected = _outcome(lambda: NetworkDataset(
+        "net", EffectMeasure.MD, dataset._json_rows(json.loads(text)["studies"]), ""
+    ))
+    assert _parsed(text, "json") == expected
+    # every planted fault is one, but a repeated default id is a fresh "row<i>"
+    assert (expected[0] == "error") == (fault is not None) or fault == ("study_id", "SAME")
+
+
+def _csv_number(draw, value) -> str:
+    """A CSV cell that float() reads as ``value``: repr, short, padded, signed or in
+    another script's digits."""
+    if isinstance(value, int) and draw(st.booleans()):
+        return str(value).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return draw(st.sampled_from([repr(float(value)), f"{value:.6g}", f" {value!r} ",
+                                 f"{float(value):+E}"]))
+
+
+@pytest.mark.parametrize("fault", _CSV_FAULTS, ids=repr)
+@settings(derandomize=True, max_examples=12, database=None, deadline=None)
+@given(rows=_network_rows(numeric_labels=False), data=st.data())
+def test_csv_columns_match_the_per_row_loop(fault, rows, data):
+    """As the JSON case, for contrast CSV rows. Every number cell goes through float(),
+    as ``_number`` reads it: a cell that numpy would read otherwise, or not at all,
+    still parses as columns, and one that float() rejects is the loop's fault."""
+    cells = [[str(r[0]), r[1], r[2], _csv_number(data.draw, r[3]), _csv_number(data.draw, r[4])]
+             for r in rows]
+    if fault is not None:
+        i = data.draw(st.integers(0, len(cells) - 1))
+        column, cell = fault
+        if cell is None:
+            del cells[i][column]
+        elif column == 5:
+            cells[i].append(cell)
+        elif cell == "SAME":
+            cells[i][column] = cells[i][1] if column == 2 else cells[i - 1][0]
+        else:
+            cells[i][column] = cell
+    out = io.StringIO()
+    csv.writer(out).writerows([["study_id", "treat_a", "treat_b", "effect", "se"], *cells])
+    body = [row for row in csv.reader(io.StringIO(out.getvalue())) if any(c.strip() for c in row)]
+    expected = _outcome(lambda: NetworkDataset(
+        "dataset", EffectMeasure.MD, dataset._contrast_rows(body[1:]), ""
+    ))
+    assert _parsed(out.getvalue(), "csv", measure="MD") == expected
 
 
 class TestLoadDataset:
@@ -790,8 +956,22 @@ class TestDatasetInvariants:
             ds.drop_studies(["s2"])
 
     def test_drop_unknown_id(self, nsaid):
-        with pytest.raises(DatasetError, match="unknown study id"):
-            nsaid.drop_studies(["nope"])
+        with pytest.raises(DatasetError, match="^unknown study id\\(s\\): nope, zz$"):
+            nsaid.drop_studies(["zz", " nope "])
+
+    @pytest.mark.parametrize("ids", [[" "], [""], ["nope", "\t"]])
+    def test_drop_blank_id(self, nsaid, ids):
+        with pytest.raises(DatasetError) as info:
+            nsaid.drop_studies(ids)
+        assert str(info.value) == "blank study id: every study has a non-empty id"
+
+    def test_drop_studies_keeps_the_columns(self, nsaid):
+        dropped = nsaid.drop_studies([nsaid.study_ids[3], nsaid.study_ids[7]])
+        keep = [i for i in range(nsaid.n_studies) if i not in (3, 7)]
+        assert dropped.studies == tuple(nsaid.studies[i] for i in keep)
+        assert dropped.reference == nsaid.reference
+        for name in ("effects", "std_errors", "variances", "weights"):
+            assert getattr(dropped, name)().tobytes() == getattr(nsaid, name)()[keep].tobytes()
 
     def test_columns_built_once_and_read_only(self):
         ds = make_dataset([("P", "A", 0.5, 0.2), ("A", "B", -0.1, 0.4)])

@@ -131,10 +131,10 @@ def _cases() -> dict[str, list[str]]:
                 cases[f"{key}:{name}"] = [*argv, *path]
             cases[f"{key}:plot-network"] = ["plot", "--kind", "network", *path]
             cases[f"{key}:plot-forest"] = ["plot", "--kind", "forest", "--target", target, *path]
-        json_path = ["{corpus}/" + stem + ".json"]
-        cases[f"{stem}.json:fit-re-ci90"] = ["fit", "--model", "re", "--ci-level", "0.9", *json_path]
-        cases[f"{stem}.json:fit-me-ci90"] = ["fit", "--model", "me", "--ci-level", "0.9", *json_path]
-        cases[f"{stem}.json:compare-ci90"] = ["compare", "--ci-level", "0.9", *json_path]
+        ci90 = ["--ci-level", "0.9", "{corpus}/" + stem + ".json"]
+        cases[f"{stem}.json:fit-re-ci90"] = ["fit", "--model", "re", *ci90]
+        cases[f"{stem}.json:fit-me-ci90"] = ["fit", "--model", "me", *ci90]
+        cases[f"{stem}.json:compare-ci90"] = ["compare", *ci90]
     nsaid = ["{corpus}/nsaid_pain_relief.csv", "--measure", "logRR"]
     cases["nsaid_pain_relief.csv:compare-exclude-row23"] = ["compare", "--exclude", "row23", *nsaid]
     cases["nsaid_pain_relief.csv:compare-exclude-unknown"] = ["compare", "--exclude", "nope", *nsaid]

@@ -179,6 +179,21 @@ class TestChiSquareSf:
                 if expected >= 1e-300:
                     assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
+    def test_against_scipy_chi2_sf(self):
+        """``scipy.stats.chi2.sf`` as an oracle over df 1 to 10^4, from x = 0 to past
+        df + 100 sqrt(2 df): 1e-10 relative where the tail is at least 1e-300, and
+        below 1e-290 where it is smaller."""
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        dfs = sorted({round(d) for d in np.geomspace(1, 1e4, 25)} | {2, 3, 9999})
+        for df in dfs:
+            spread = [df + z * math.sqrt(2 * df) for z in (1, 3, 10, 30, 100)]
+            for x in [0.0, 1e-8, *(r * df for r in (0.01, 0.5, 1, 1.5, 2, 4)), *spread, 700, 1400]:
+                expected, got = float(chi2.sf(x, df)), chi_square_sf(x, df)
+                if expected >= 1e-300:
+                    assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (x, df)
+                else:
+                    assert 0.0 <= got < 1e-290, (x, df)
+
     def test_df1_against_erfc_oracle(self):
         # sf(x, 1) = P(|Z| > sqrt(x)) = erfc(sqrt(x/2))
         for x in (0.01, 1.0, 3.84, 10.0, 50.0, 300.0):
