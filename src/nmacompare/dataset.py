@@ -178,7 +178,7 @@ class NetworkDataset:
             if records and set(map(type, records)) != {ContrastObservation}:
                 # a plain tuple unpacks like a study but has not been through its checks
                 raise TypeError("studies must be ContrastObservation records")
-            self.studies = records
+            self.studies = records  # the value of the cached property
             studies = _Columns.of(records)
         ids, treat_a, treat_b, effects, std_errors = studies
         if not ids:
@@ -533,31 +533,26 @@ def _number(raw, column: str, kind: type) -> float | int:
         raise DatasetError(f"non-numeric {column} {shown}") from None
 
 
-def _labels(values: Iterable) -> list[str]:
-    return list(map(str.strip, map(str, values)))
+def _checked(ids, treat_a, treat_b, effects, ses) -> _Columns | None:
+    """The columns of the studies' fields (CSV cells or JSON values), or None where a
+    study fails ``ContrastObservation``'s coercion or checks.
 
-
-def _floats(values: Sequence) -> np.ndarray | None:
-    """``float(v)`` of every value, or None where one of them does not convert."""
+    Labels are ``str(v).strip()``, an empty id is "row<i>" and a number is
+    ``float(v)``, as for one study; the checks run over whole columns. On None
+    the parser builds the studies one by one, so the first faulty one raises
+    its own error.
+    """
     try:
-        return np.fromiter(map(float, values), float, len(values))
+        effects, ses = (np.fromiter(map(float, c), float, len(c)) for c in (effects, ses))
     except (ValueError, OverflowError):
         return None
-
-
-def _checked(ids, treat_a, treat_b, effects, ses) -> _Columns | None:
-    """The columns, if every study passes ``ContrastObservation``'s checks, else None.
-
-    The checks run over whole columns; on None the parser builds the studies
-    one by one, so that the first faulty one raises its own error.
-    """
-    if effects is None or ses is None:
-        return None
+    ids, treat_a, treat_b = ([*map(str.strip, map(str, c))] for c in (ids, treat_a, treat_b))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         var = ses * ses
         ok = np.isfinite(effects) & np.isfinite(ses) & (ses > 0) & (0.0 < var) & (var < math.inf)
         ok &= 1.0 / var < math.inf
     if ok.all() and all(treat_a) and all(treat_b) and not any(map(operator.eq, treat_a, treat_b)):
+        ids = [study_id or f"row{i}" for i, study_id in enumerate(ids, start=1)]
         return _Columns(ids, treat_a, treat_b, effects, ses)
     return None
 
@@ -629,8 +624,7 @@ def _contrast_columns(body: list[list[str]]) -> _Columns | None:
     ids, treat_a, treat_b, effects, ses = zip(*body)
     if "_" in "".join(effects) or "_" in "".join(ses):  # float() would read "1_00" as 100
         return None
-    ids = [study_id or f"row{i}" for i, study_id in enumerate(_labels(ids), start=1)]
-    return _checked(ids, _labels(treat_a), _labels(treat_b), _floats(effects), _floats(ses))
+    return _checked(ids, treat_a, treat_b, effects, ses)
 
 
 def _contrast_rows(body: list[list[str]]) -> list[ContrastObservation]:
@@ -691,8 +685,7 @@ def _json_columns(entries: list) -> _Columns | None:
         return None
     if not {*map(type, ids), *map(type, treat_a), *map(type, treat_b)} <= {str, int, float}:
         return None
-    ids = [study_id or f"row{i}" for i, study_id in enumerate(_labels(ids), start=1)]
-    return _checked(ids, _labels(treat_a), _labels(treat_b), _floats(effects), _floats(ses))
+    return _checked(ids, treat_a, treat_b, effects, ses)
 
 
 def _json_rows(entries: list) -> list[ContrastObservation]:
