@@ -50,6 +50,18 @@ class TestQTotal:
 
 
 class TestNsaidDecomposition:
+    def test_records_built_when_read_compare_as_fields(self, nsaid, smoke):
+        """``per_design`` and ``per_study`` are built on first read, yet ``==``, ``hash``
+        and ``repr`` are those of the frozen dataclass that held them as fields."""
+        names = ("q_total", "q_het", "q_inc", "df_het", "df_inc", "p_het", "p_inc",
+                 "per_design", "per_study")
+        eager = dataclasses.make_dataclass("QDecomposition", names, frozen=True)
+        q, again, other = (decompose(ds)[2] for ds in (nsaid, nsaid, smoke))
+        assert "per_study" not in vars(q) and "per_design" not in vars(q)
+        held = eager(*(getattr(q, name) for name in names))
+        assert (repr(q), hash(q)) == (repr(held), hash(held))
+        assert q == again and q != other and q != held
+
     def test_shape(self, nsaid):
         _, _, q = decompose(nsaid)
         assert q.df_het == 23
