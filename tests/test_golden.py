@@ -138,6 +138,26 @@ def _cases() -> dict[str, list[str]]:
     nsaid = ["{corpus}/nsaid_pain_relief.csv", "--measure", "logRR"]
     cases["nsaid_pain_relief.csv:compare-exclude-row23"] = ["compare", "--exclude", "row23", *nsaid]
     cases["nsaid_pain_relief.csv:compare-exclude-unknown"] = ["compare", "--exclude", "nope", *nsaid]
+    # label arguments: blank ones count as empty ones, padded ones as the bare label
+    nsaid = "{corpus}/nsaid_pain_relief.json"
+    for flag in ("reference", "name"):
+        for label, text in (("empty", ""), ("blank", " ")):
+            cases[f"nsaid_pain_relief.json:validate-{flag}-{label}"] = [
+                "validate", nsaid, f"--{flag}", text,
+            ]
+    for label, text in (("padded", " Placebo "), ("blank", " ")):
+        cases[f"nsaid_pain_relief.json:plot-forest-target-{label}"] = [
+            "plot", "--kind", "forest", "--target", text, nsaid,
+        ]
+    # numeric flags out of their range, or not numbers, are usage errors
+    for flag, text in (("alpha", "0"), ("alpha", "x"), ("jobs", "0"), ("jobs", "x")):
+        cases[f"corpus:batch-{flag}-{text}"] = ["batch", "{corpus}", f"--{flag}", text]
+    for command in (["fit", "--model", "re"], ["compare"], ["plot", "--kind", "forest",
+                                                             "--target", "Placebo"]):
+        for text in ("0", "1.5"):
+            cases[f"nsaid_pain_relief.json:{command[0]}-ci-level-{text}"] = [
+                *command, "--ci-level", text, nsaid,
+            ]
     cases["corpus:batch"] = ["batch", "{corpus}"]
     cases["corpus:batch-jobs2"] = ["batch", "{corpus}", "--jobs", "2"]
     cases["corpus:batch-reml-out-dir"] = ["batch", "{corpus}", "--tau-method", "reml",
