@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import (
     ANALYSIS_ERRORS,
@@ -41,6 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Network meta-analysis heterogeneity models and AIC comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs = _checked(int, "at least 1", lambda n: n >= 1)
+    unit = _checked(float, "in (0, 1)", lambda x: 0.0 < x < 1.0)
 
     def add_data_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("file", type=Path, help="dataset file (.csv or .json)")
@@ -61,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_args(p)
     p.add_argument("--model", choices=("fe", "re", "me"), required=True)
     p.add_argument("--tau-method", choices=("dl", "reml"), default="dl")
-    p.add_argument("--ci-level", type=float, default=0.95)
+    p.add_argument("--ci-level", type=unit, default=0.95)
     add_out_arg(p)
     p.set_defaults(func=_cmd_fit)
 
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare RE and ME models by AIC")
     add_data_args(p)
     p.add_argument("--tau-method", choices=("dl", "reml"), default="dl")
-    p.add_argument("--ci-level", type=float, default=0.95)
+    p.add_argument("--ci-level", type=unit, default=0.95)
     p.add_argument(
         "--exclude", action="append", default=[], metavar="STUDY_ID",
         help="exclude a study before fitting (repeatable)",
@@ -90,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="summarize every dataset in a directory")
     p.add_argument("directory", type=Path)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=unit, default=0.05)
     p.add_argument("--tau-method", choices=("dl", "reml"), default="dl")
     p.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
+        "--jobs", type=jobs, default=1, metavar="N",
         help="run the datasets on up to N forked worker processes, no more than the CPUs"
         " and the files (default 1); the output is the same for every N",
     )
@@ -106,23 +108,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render a forest plot or network graph as SVG")
     add_data_args(p)
     p.add_argument("--kind", choices=("forest", "network"), required=True)
-    p.add_argument("--target", help="comparator treatment (forest plots)")
+    p.add_argument("--target", type=str.strip, help="comparator treatment (forest plots)")
     p.add_argument("--tau-method", choices=("dl", "reml"), default="dl")
-    p.add_argument("--ci-level", type=float, default=0.95)
+    p.add_argument("--ci-level", type=unit, default=0.95)
     p.add_argument("--out", type=Path, help="output SVG path (default: stdout)")
     p.set_defaults(func=_cmd_plot)
 
     return parser
 
 
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _checked(kind: type, rule: str, holds: Callable) -> Callable[[str], int | float]:
+    """An argparse type: ``kind(text)``, refused as a usage error where ``holds`` is false."""
+
+    def convert(text: str) -> int | float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return convert
 
 
 def _load(args: argparse.Namespace) -> NetworkDataset:

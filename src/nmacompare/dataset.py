@@ -457,6 +457,7 @@ def parse_dataset(
     supplied by the caller; JSON carries it in the file. Explicit
     ``measure``/``reference``/``name`` arguments override file values; the
     name is the ``name`` argument, then the JSON ``name``, then "dataset".
+    The ``reference`` and ``name`` arguments are stripped, as labels are.
     """
     return _build(source, fmt, measure, reference, name, "dataset")
 
@@ -479,7 +480,7 @@ def load_dataset(
     except OSError as exc:
         raise DatasetError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
     fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    # an empty name argument falls back to "dataset", as in parse_dataset
+    # an empty or blank name argument falls back to "dataset", as in parse_dataset
     return _build(data, fmt, measure, reference, name, path.stem if name is None else "dataset")
 
 
@@ -503,11 +504,12 @@ def _build(source, fmt, measure, reference, name, default_name) -> NetworkDatase
         raise DatasetError(f"unknown dataset format {fmt!r} (expected csv or json)")
     parse = _parse_json if fmt_key == "json" else _parse_csv
     measure, columns, file_name, file_reference = parse(text, measure)
+    # a blank argument counts as an empty one, as a blank JSON label does
     return NetworkDataset(
-        name or file_name or default_name,
+        (name or "").strip() or file_name or default_name,
         measure,
         columns,
-        file_reference if reference is None else reference,
+        file_reference if reference is None else reference.strip(),
     )
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "EstimationError",
     "ModelKind",
     "ModelFit",
-    "log_likelihood",
     "fit_fe",
     "fit_re",
     "fit_me",
@@ -124,26 +123,9 @@ class ModelFit:
         return est - z * se, est + z * se
 
 
-def log_likelihood(y: np.ndarray, mean: np.ndarray, cov_diag: np.ndarray) -> float:
-    """Gaussian log-likelihood with a diagonal covariance matrix.
-
-    Raises NumericError when a term leaves the float range, as the squared
-    residual does for any residual above about 1.3e154.
-    """
-    y = np.asarray(y, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    cov_diag = np.asarray(cov_diag, dtype=float)
-    if np.any(cov_diag <= 0):
-        raise EstimationError("non-positive variance in likelihood")
-    log_lik, finite = _log_lik_rows(y, mean, cov_diag)
-    if not finite:
-        _raise_fault(_Fault.LOG_LIK)
-    return float(log_lik)
-
-
 def _log_lik_rows(y: np.ndarray, mean: np.ndarray, cov_diag: np.ndarray):
-    """``log_likelihood`` per row of a stack without its checks: (log L, whether its
-    quadratic form and log det are finite)."""
+    """Gaussian log-likelihood with a diagonal covariance, per row of a stack: (log L,
+    whether its quadratic form and log det are finite)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         quad = np.sum((y - mean) ** 2 / cov_diag, axis=-1)
         log_det = np.sum(np.log(cov_diag), axis=-1)

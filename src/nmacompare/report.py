@@ -81,8 +81,9 @@ def forest_data(
     Study rows cover the designs that include ``target``; pooled RE and ME
     rows cover every other treatment versus ``target`` (indirect evidence
     included). Effects are oriented so positive means "treatment minus
-    target".
+    target". ``target`` is stripped, as labels are.
     """
+    target = target.strip()
     if target not in ds.treatments:
         raise DatasetError(f"target treatment {target!r} not in dataset")
     z = normal_quantile(0.5 + re_fit.ci_level / 2.0)

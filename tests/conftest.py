@@ -230,6 +230,15 @@ def newton_terms(ds: NetworkDataset, tau2: float):
     return models._newton_terms(ds.design, ds.effects(), sigma2, fit.lower, fit.log_det, fit.fitted)
 
 
+def gaussian_log_lik(y, mean, variances) -> float:
+    """Test oracle: the log-likelihood of ``y`` under independent normals with means ``mean``
+    and ``variances``, summed term by term: -1/2 [log(2 pi v_i) + (y_i - mu_i)^2 / v_i]."""
+    return math.fsum(
+        -0.5 * (math.log(2.0 * math.pi * v) + (yi - mu) ** 2 / v)
+        for yi, mu, v in zip(y, mean, variances)
+    )
+
+
 def decompose(ds: NetworkDataset):
     """Convenience: (design matrix, FE fit, Q decomposition) for a dataset."""
     fe = fit_fe(ds)

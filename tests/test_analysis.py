@@ -257,6 +257,11 @@ class TestBatch:
         load_dataset(sources[0]).studies
         assert built["ContrastObservation"] == report.m
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            batch_run([], alpha=alpha)
+
     def test_empty_input(self):
         result = batch_run([])
         assert result.rows == ()

@@ -189,6 +189,22 @@ def test_unusable_path_exits_1_with_one_line(capsys, tmp_path, case):
     assert str(tmp_path) in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["batch", str(CORPUS_DIR), "--alpha", "0"], "--alpha: must be in (0, 1), got 0.0"),
+    (["batch", str(CORPUS_DIR), "--alpha", "1"], "--alpha: must be in (0, 1), got 1.0"),
+    (["compare", NSAID_JSON, "--ci-level", "1.5"], "--ci-level: must be in (0, 1), got 1.5"),
+    (["fit", "--model", "re", NSAID_JSON, "--ci-level", "nan"],
+     "--ci-level: must be in (0, 1), got nan"),
+    (["plot", "--kind", "network", NSAID_JSON, "--ci-level", "-0.5"],
+     "--ci-level: must be in (0, 1), got -0.5"),
+], ids=["alpha-0", "alpha-1", "compare-ci", "fit-ci-nan", "plot-ci"])
+def test_level_outside_the_unit_interval_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: nma {argv[0]}")
+    assert err.endswith(f"error: argument {message}\n")
+
+
 class TestValidate:
     def test_json_summary(self, capsys):
         code, out, _ = run(capsys, "validate", NSAID_JSON)
@@ -201,6 +217,12 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", NSAID_JSON, "--pretty")
         assert code == 0
         assert "studies:    29" in out
+
+    @pytest.mark.parametrize("flag", ["--reference", "--name"])
+    def test_blank_label_argument_counts_as_empty(self, capsys, flag):
+        assert run(capsys, "validate", NSAID_JSON, flag, " ") == run(
+            capsys, "validate", NSAID_JSON, flag, ""
+        )
 
     def test_disconnected_exits_1_naming_components(self, capsys, tmp_path):
         path = tmp_path / "broken.csv"
@@ -475,6 +497,14 @@ class TestPlot:
         code, _, err = run(capsys, "plot", NSAID_JSON, "--kind", "forest")
         assert code == 1
         assert "--target" in err
+
+    def test_padded_target_is_the_bare_label(self, capsys):
+        plot = ("plot", NSAID_JSON, "--kind", "forest", "--target")
+        assert run(capsys, *plot, " Placebo ") == run(capsys, *plot, "Placebo")
+
+    def test_blank_target_fails_as_a_missing_one(self, capsys):
+        code, _, err = run(capsys, "plot", NSAID_JSON, "--kind", "forest", "--target", " ")
+        assert (code, err) == (1, "error: forest plots need --target <treatment>\n")
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "plot", NSAID_JSON, "--kind", "forest", "--target", "Placebo")

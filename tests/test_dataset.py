@@ -616,8 +616,12 @@ class TestLoadDataset:
         ("net.json", _json(_S1), None, "net"),
         ("net.json", _json(_S1, name=""), None, "net"),
         ("net.json", _json(_S1, name="dataset"), None, "dataset"),
+        ("net.csv", _C + "s1,P,A,0.5,0.2\n", " ", "dataset"),
+        ("net.json", _json(_S1, name="inner"), " ", "inner"),
+        ("net.json", _json(_S1, name="inner"), " given ", "given"),
     ], ids=["csv-argument", "csv-stem", "json-argument", "json-name", "json-stem",
-            "json-empty-name", "json-named-dataset"])
+            "json-empty-name", "json-named-dataset", "csv-blank-argument",
+            "json-blank-argument", "json-padded-argument"])
     def test_name_precedence(self, tmp_path, file_name, text, name, expected):
         """The name argument, then the JSON name, then the file stem."""
         path = tmp_path / file_name
@@ -628,6 +632,18 @@ class TestLoadDataset:
         assert parse_dataset(_json(_S1), "json").name == "dataset"
         assert parse_dataset(_json(_S1, name="inner"), "json").name == "inner"
         assert parse_dataset(_json(_S1, name="inner"), "json", name="given").name == "given"
+        assert parse_dataset(_json(_S1, name="inner"), "json", name=" ").name == "inner"
+
+    @pytest.mark.parametrize("reference,expected", [
+        (None, "P"), ("", "A"), (" ", "A"), (" P ", "P"), ("A", "A"),
+    ])
+    def test_reference_argument_is_stripped(self, tmp_path, reference, expected):
+        """A blank argument is an empty one: the smallest label, not the file's reference."""
+        text = _json(_S1, reference="P")
+        assert parse_dataset(text, "json", reference=reference).reference == expected
+        path = tmp_path / "net.json"
+        path.write_text(text, encoding="utf-8")
+        assert load_dataset(path, reference=reference).reference == expected
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

@@ -18,7 +18,6 @@ from nmacompare import (
     fit_fe,
     fit_me,
     fit_re,
-    log_likelihood,
     parse_dataset,
     q_total,
     reml_objective,
@@ -31,6 +30,7 @@ from conftest import (
     REML_TOP_EDGE,
     dense_design,
     flipped,
+    gaussian_log_lik,
     large_random_network,
     make_dataset,
     newton_terms,
@@ -90,22 +90,31 @@ class TestFitFe:
 
 class TestLogLikelihood:
     def test_standard_normal_at_mode(self):
-        assert log_likelihood([0.0], [0.0], [1.0]) == pytest.approx(
-            -0.5 * math.log(2 * math.pi), abs=1e-12
-        )
+        """One study with se 1: the FE fit sits on it, at the mode of its density."""
+        fe = fit_fe(single_pair([0.3], [1.0]))
+        assert fe.log_lik == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
-    def test_unit_residual(self):
-        assert log_likelihood([1.0], [0.0], [1.0]) == pytest.approx(
-            -0.5 * (math.log(2 * math.pi) + 1.0), abs=1e-12
-        )
+    def test_unit_residual(self, two_study):
+        """Two studies with se 1, one on each side of the FE mean at distance 1."""
+        fe = fit_fe(two_study)
+        assert fe.log_lik == pytest.approx(-(math.log(2 * math.pi) + 1.0), abs=1e-12)
 
-    def test_non_positive_variance(self):
-        with pytest.raises(EstimationError):
-            log_likelihood([0.0], [0.0], [0.0])
-
-    def test_overflow_named(self):
-        with pytest.raises(NumericError, match="log-likelihood overflows"):
-            log_likelihood([1e200], [-1e200], [1.0])
+    @pytest.mark.parametrize("network", ["nsaid", "smoke", "biologics", "random"])
+    def test_fits_match_the_oracle(self, network, request):
+        """FE, RE and ME log L are Gaussian densities at the fitted means, with variances
+        s_i^2, s_i^2 + tau^2 and phi s_i^2."""
+        if network == "random":
+            ds = random_network(np.random.default_rng(5), max_treatments=6, max_studies=30)
+        else:
+            ds = request.getfixturevalue(network)
+        y, v = ds.effects(), ds.variances()
+        fe = fit_fe(ds)
+        tau2 = estimate_tau2_reml(ds)
+        re, me = fit_re(ds, tau2), fit_me(ds, fe)
+        for fit, variances in ((fe, v), (re, v + tau2), (me, me.phi * v)):
+            assert fit.log_lik == pytest.approx(
+                gaussian_log_lik(y, fit.fitted, variances), rel=1e-12, abs=1e-12
+            )
 
     def test_fe_fit_overflow_named(self):
         with pytest.raises(NumericError, match="log-likelihood overflows"):

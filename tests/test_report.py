@@ -91,6 +91,10 @@ class TestForestData:
         row1 = next(r for r in rows if r.label == "row1")
         assert row1.estimate == pytest.approx(0.0506, abs=1e-12)
 
+    def test_padded_target_is_the_bare_label(self, nsaid, nsaid_report, nsaid_forest):
+        rows = forest_data(nsaid, nsaid_report.re, nsaid_report.me, nsaid_report.q, " Placebo ")
+        assert rows == nsaid_forest
+
     def test_unknown_target(self, nsaid, nsaid_report):
         with pytest.raises(DatasetError, match="target treatment"):
             forest_data(nsaid, nsaid_report.re, nsaid_report.me, nsaid_report.q, "Aspirin")
