@@ -149,6 +149,13 @@ def _cases() -> dict[str, list[str]]:
         cases[f"nsaid_pain_relief.json:plot-forest-target-{label}"] = [
             "plot", "--kind", "forest", "--target", text, nsaid,
         ]
+    # a title with characters that SVG text escapes
+    cases["nsaid_pain_relief.json:plot-forest-title-escaped"] = [
+        "plot", "--kind", "forest", "--target", "Placebo", "--name", "A & <B>", nsaid,
+    ]
+    cases["nsaid_pain_relief.json:plot-network-title-escaped"] = [
+        "plot", "--kind", "network", "--name", "A & <B>", nsaid,
+    ]
     # numeric flags out of their range, or not numbers, are usage errors
     for flag, text in (("alpha", "0"), ("alpha", "x"), ("jobs", "0"), ("jobs", "x")):
         cases[f"corpus:batch-{flag}-{text}"] = ["batch", "{corpus}", f"--{flag}", text]
@@ -164,6 +171,10 @@ def _cases() -> dict[str, list[str]]:
                                           "--out-dir", "{out}"]
     for jobs in ("1", "2"):
         cases[f"inputs:batch-jobs{jobs}"] = ["batch", "{in}", "--jobs", jobs]
+    # histogram.json over many networks; the REML one has a row in the closed last bin
+    cases["inputs:batch-out-dir"] = ["batch", "{in}", "--out-dir", "{out}"]
+    cases["inputs:batch-reml-out-dir"] = ["batch", "{in}", "--tau-method", "reml",
+                                          "--out-dir", "{out}"]
     for file, (_, measure) in FAULT_INPUTS.items():
         measure_args = [] if measure is None else ["--measure", measure]
         cases[f"faults/{file}:validate"] = ["validate", f"{{in}}/faults/{file}", *measure_args]
