@@ -458,19 +458,13 @@ def _histogram(rows: Sequence[BatchRow]) -> dict[str, list[dict[str, float]]]:
         values = by_measure[measure]
         lo = 3 * math.floor(min(values) / 3)
         hi = 3 * math.ceil(max(values) / 3)
-        if hi == lo:
-            hi = lo + 3
-        bins = []
-        for left in range(lo, hi, 3):
-            right = left + 3
-            # half-open bins [left, right), except the last which is closed
-            count = sum(
-                1
-                for v in values
-                if (left <= v < right) or (right == hi and v == hi)
-            )
-            bins.append({"lo": float(left), "hi": float(right), "count": count})
-        hist[measure] = bins
+        edges = range(lo, max(hi, lo + 3) + 1, 3)
+        # half-open bins [left, left + 3), except the last which is closed
+        counts = np.histogram(values, edges)[0].tolist()
+        hist[measure] = [
+            {"lo": float(left), "hi": float(left + 3), "count": count}
+            for left, count in zip(edges, counts)
+        ]
     return hist
 
 

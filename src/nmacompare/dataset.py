@@ -17,7 +17,7 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -155,8 +155,9 @@ class NetworkDataset:
 
     ``studies`` is a sequence of ``ContrastObservation`` records, or the
     parsers' checked ``_Columns``. ``study_ids`` holds the ids in study order,
-    ``treatments`` the sorted labels; ``reference`` defaults to the
-    lexicographically smallest treatment when not supplied. The numeric
+    ``treatments`` the sorted labels. ``name`` and ``reference`` are stripped,
+    as labels are; a blank name becomes "dataset", and a blank reference the
+    lexicographically smallest treatment. The numeric
     columns are built once, at construction: ``effects()``, ``std_errors()``,
     ``variances()`` and ``weights()`` return the same read-only arrays, as are
     the integer codes: ``codes`` holds each study's (treat_a, treat_b) indices
@@ -190,7 +191,7 @@ class NetworkDataset:
                     raise DatasetError(f"duplicate study id {study_id!r}")
                 seen.add(study_id)
         labels = sorted({*treat_a, *treat_b})
-        ref = reference.strip() if reference else labels[0]
+        ref = reference.strip() or labels[0]
         if ref not in labels:
             raise DatasetError(f"reference treatment {ref!r} not in dataset")
         # code order is label order, so pair codes sort as the label pairs do
@@ -202,7 +203,7 @@ class NetworkDataset:
         if len(components) > 1:
             parts = " | ".join("{" + ",".join(labels[j] for j in c) + "}" for c in components)
             raise DatasetError(f"disconnected network: {parts}")
-        self.name, self.measure, self.reference = name, measure, ref
+        self.name, self.measure, self.reference = name.strip() or "dataset", measure, ref
         self.study_ids, self.treatments = tuple(ids), tuple(labels)
         std_errors = np.asarray(std_errors, dtype=float)
         variances = std_errors**2
@@ -328,36 +329,18 @@ class DesignMatrix:
     d the relative effects of the non-reference treatments versus the
     reference. ``b_idx[i]`` and ``a_idx[i]`` are those columns, with the
     reference mapped to the dummy column ``cols``, so the kernels work on
-    arrays padded by one entry and drop it. ``gram_index`` holds, for the
-    four entries (a, a), (b, b), (lo, hi), (hi, lo) of every row with
-    lo/hi = min/max(a, b), their flat positions in a (cols + 1)^2 matrix:
-    one ``np.bincount`` with weights (w, w, -w, -w) gives X'WX as the
-    weighted Laplacian of the network, exactly symmetric. ``xt_index`` is
-    (b_idx, a_idx) for X'v as one bincount of (v, -v). (k, m) ``a_idx`` and
-    ``b_idx`` hold a stack of k designs over the same columns, one per row, and
-    the indices are then built per row.
+    arrays padded by one entry and drop it; ``models._gram`` and
+    ``models._xt`` sum X'WX and X'v over these two columns. (k, m) ``a_idx``
+    and ``b_idx`` hold a stack of k designs over the same columns, one per row.
     """
 
     a_idx: np.ndarray
     b_idx: np.ndarray
     column_treatments: tuple[str, ...]
-    gram_index: np.ndarray = field(init=False, repr=False)
-    xt_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a_idx, dtype=np.intp)
-        b = np.asarray(self.b_idx, dtype=np.intp)
-        size = self.cols + 1
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        gram_index = np.concatenate(
-            (a * size + a, b * size + b, lo * size + hi, hi * size + lo), axis=-1
-        )
-        for name, arr in (
-            ("a_idx", a),
-            ("b_idx", b),
-            ("gram_index", gram_index),
-            ("xt_index", np.concatenate((b, a), axis=-1)),
-        ):
+        for name in ("a_idx", "b_idx"):
+            arr = np.asarray(getattr(self, name), dtype=np.intp)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -509,7 +492,7 @@ def _build(source, fmt, measure, reference, name, default_name) -> NetworkDatase
         (name or "").strip() or file_name or default_name,
         measure,
         columns,
-        file_reference if reference is None else reference.strip(),
+        file_reference if reference is None else reference,
     )
 
 

@@ -255,14 +255,18 @@ def _gram(x: DesignMatrix, w: np.ndarray) -> np.ndarray:
     a (k, p, p) stack of matrices. Entries may come back non-finite when the
     weights are extreme; ``_gls_rows`` checks them.
     """
-    size = x.cols + 1
-    flat = _bincount(x.gram_index, np.concatenate((w, w, -w, -w), axis=-1), size * size)
+    size, a, b = x.cols + 1, x.a_idx, x.b_idx
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # flat entries (a, a), (b, b), (lo, hi), (hi, lo) of each row: X'WX is exactly symmetric
+    index = np.concatenate((a * size + a, b * size + b, lo * size + hi, hi * size + lo), axis=-1)
+    flat = _bincount(index, np.concatenate((w, w, -w, -w), axis=-1), size * size)
     return flat.reshape(*w.shape[:-1], size, size)[..., :-1, :-1]
 
 
 def _xt(x: DesignMatrix, v: np.ndarray) -> np.ndarray:
     """X'v, per row of a 2-D ``v``."""
-    return _bincount(x.xt_index, np.concatenate((v, -v), axis=-1), x.cols + 1)[..., :-1]
+    index = np.concatenate((x.b_idx, x.a_idx), axis=-1)
+    return _bincount(index, np.concatenate((v, -v), axis=-1), x.cols + 1)[..., :-1]
 
 
 def _x_times(x: DesignMatrix, d: np.ndarray) -> np.ndarray:
@@ -493,8 +497,8 @@ _STACK_ELEMENTS = 1 << 15
 
 
 def _stack_rows(m: int, p: int) -> int:
-    """How many rows of m studies and p columns one stacked solve takes: per row,
-    4 m Gram terms and a (p + 1)^2 Gram matrix."""
+    """How many rows of m studies and p columns one stacked solve takes. The budget counts,
+    per row, the 4 m Gram terms and the (p + 1)^2 Gram matrix, not the 2 m design integers."""
     return max(1, _STACK_ELEMENTS // (4 * m + (p + 1) ** 2))
 
 

@@ -146,7 +146,6 @@ def network_data(ds: NetworkDataset) -> NetworkGraph:
 # SVG rendering
 # ---------------------------------------------------------------------------
 
-_SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 _PALETTE = (
     "#4878a8", "#ee854a", "#6acc64", "#d65f5f",
     "#956cb4", "#8c613c", "#dc7ec0", "#797979",
@@ -155,6 +154,18 @@ _PALETTE = (
 
 def _fmt(value: float) -> str:
     return format(value, ".2f")
+
+
+def _el(tag: str, body: object = None, **attrs: object) -> str:
+    """One SVG element and its newline. ``_`` in an attribute name becomes ``-``; a float
+    value is written by ``_fmt``, any other by ``str``. The body, if any, is escaped."""
+    text = " ".join(
+        f'{name.replace("_", "-")}="{_fmt(v) if isinstance(v, float) else v}"'
+        for name, v in attrs.items()
+    )
+    if body is None:
+        return f"<{tag} {text}/>\n"
+    return f"<{tag} {text}>{escape(str(body), quote=False)}</{tag}>\n"
 
 
 def render_svg(data: Sequence[ForestRow] | NetworkGraph, title: str = "") -> str:
@@ -171,16 +182,14 @@ def render_svg(data: Sequence[ForestRow] | NetworkGraph, title: str = "") -> str
 def _svg_start(width: int, height: int, title: str) -> list[str]:
     """XML declaration, svg element, white background and, if not empty, the centred title."""
     parts = [
-        _SVG_HEADER,
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n',
+        _el("rect", x=0, y=0, width=width, height=height, fill="#ffffff"),
     ]
     if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>\n'
-        )
+        parts.append(_el("text", title, x=width / 2, y=24, text_anchor="middle",
+                         font_family="sans-serif", font_size=15))
     return parts
 
 
@@ -211,67 +220,47 @@ def _render_forest(rows: list[ForestRow], title: str) -> str:
 
     parts = _svg_start(width, height, title)
     if lo < 0.0 < hi:
-        x0 = _fmt(sx(0.0))
-        parts.append(
-            f'<line x1="{x0}" y1="{top - 8}" x2="{x0}" y2="{height - bottom + 8}" '
-            f'stroke="#999999" stroke-dasharray="4,3"/>\n'
-        )
+        x0 = sx(0.0)
+        parts.append(_el("line", x1=x0, y1=top - 8, x2=x0, y2=height - bottom + 8,
+                         stroke="#999999", stroke_dasharray="4,3"))
     axis_y = height - bottom + 8
-    parts.append(
-        f'<line x1="{left}" y1="{axis_y}" x2="{width - right}" y2="{axis_y}" stroke="#333333"/>\n'
-    )
+    parts.append(_el("line", x1=left, y1=axis_y, x2=width - right, y2=axis_y, stroke="#333333"))
     for tick in _ticks(lo, hi):
-        tx = _fmt(sx(tick))
-        parts.append(
-            f'<line x1="{tx}" y1="{axis_y}" x2="{tx}" y2="{axis_y + 5}" stroke="#333333"/>\n'
-            f'<text x="{tx}" y="{axis_y + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{format(tick, "g")}</text>\n'
-        )
+        tx = sx(tick)
+        parts.append(_el("line", x1=tx, y1=axis_y, x2=tx, y2=axis_y + 5, stroke="#333333"))
+        parts.append(_el("text", format(tick, "g"), x=tx, y=axis_y + 18, text_anchor="middle",
+                         font_family="sans-serif", font_size=11))
 
     last_group = None
     for i, row in enumerate(rows):
         cy = top + row_h * (i + 0.5)
         if row.group != last_group:
             last_group = row.group
-            parts.append(
-                f'<text x="8" y="{_fmt(cy + 4)}" text-anchor="start" '
-                f'font-family="sans-serif" font-size="11" font-weight="bold">'
-                f"{escape(row.group, quote=False)}</text>\n"
-            )
-        parts.append(
-            f'<text x="{left - 10}" y="{_fmt(cy + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{escape(row.label, quote=False)}</text>\n'
-        )
-        parts.append(
-            f'<line x1="{_fmt(sx(row.ci_lo))}" y1="{_fmt(cy)}" '
-            f'x2="{_fmt(sx(row.ci_hi))}" y2="{_fmt(cy)}" stroke="#888888"/>\n'
-        )
+            parts.append(_el("text", row.group, x=8, y=cy + 4, text_anchor="start",
+                             font_family="sans-serif", font_size=11, font_weight="bold"))
+        parts.append(_el("text", row.label, x=left - 10, y=cy + 4, text_anchor="end",
+                         font_family="sans-serif", font_size=11))
+        parts.append(_el("line", x1=sx(row.ci_lo), y1=cy, x2=sx(row.ci_hi), y2=cy,
+                         stroke="#888888"))
         cx = sx(row.estimate)
         if row.marker is MarkerKind.STUDY_CIRCLE:
             r = radius_k * math.sqrt(row.area_weight or 1.0)
-            parts.append(
-                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-                f'fill="{color[row.group]}" fill-opacity="0.85"/>\n'
-            )
+            parts.append(_el("circle", cx=cx, cy=cy, r=r, fill=color[row.group],
+                             fill_opacity="0.85"))
         elif row.marker is MarkerKind.RE_SQUARE:
-            s = 5.0
-            parts.append(
-                f'<rect x="{_fmt(cx - s)}" y="{_fmt(cy - s)}" width="{_fmt(2 * s)}" '
-                f'height="{_fmt(2 * s)}" fill="#000000"/>\n'
-            )
+            parts.append(_el("rect", x=cx - 5.0, y=cy - 5.0, width=10.0, height=10.0,
+                             fill="#000000"))
         else:
             s = 6.0
             points = (
                 f"{_fmt(cx)},{_fmt(cy - s)} {_fmt(cx - s)},{_fmt(cy + s)} "
                 f"{_fmt(cx + s)},{_fmt(cy + s)}"
             )
-            parts.append(f'<polygon points="{points}" fill="#000000"/>\n')
+            parts.append(_el("polygon", points=points, fill="#000000"))
         if row.q_label is not None:
-            parts.append(
-                f'<text x="{_fmt(sx(row.ci_hi) + 8)}" y="{_fmt(cy + 4)}" text-anchor="start" '
-                f'font-family="sans-serif" font-size="11" fill="#b03030">'
-                f"{format(row.q_label, '.3g')}</text>\n"
-            )
+            parts.append(_el("text", format(row.q_label, ".3g"), x=sx(row.ci_hi) + 8, y=cy + 4,
+                             text_anchor="start", font_family="sans-serif", font_size=11,
+                             fill="#b03030"))
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -308,22 +297,16 @@ def _render_network(graph: NetworkGraph, title: str) -> str:
     for edge in graph.edges:
         (x1, y1), (x2, y2) = pos[edge.pair[0]], pos[edge.pair[1]]
         width = 10.0 * edge.study_count / max_count
-        parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="#9db4cc" stroke-width="{_fmt(width)}"/>\n'
-        )
-        mx, my = (x1 + x2) / 2.0, (y1 + y2) / 2.0
-        parts.append(
-            f'<text x="{_fmt(mx)}" y="{_fmt(my - 4)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10" fill="#55616e">{edge.study_count}</text>\n'
-        )
+        parts.append(_el("line", x1=x1, y1=y1, x2=x2, y2=y2, stroke="#9db4cc",
+                         stroke_width=width))
+        parts.append(_el("text", edge.study_count, x=(x1 + x2) / 2.0, y=(y1 + y2) / 2.0 - 4,
+                         text_anchor="middle", font_family="sans-serif", font_size=10,
+                         fill="#55616e"))
     for node in graph.nodes:
         x, y = pos[node]
-        parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="24" fill="#e8eef7" stroke="#3d5a80"/>\n'
-            f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{escape(node, quote=False)}</text>\n'
-        )
+        parts.append(_el("circle", cx=x, cy=y, r=24, fill="#e8eef7", stroke="#3d5a80"))
+        parts.append(_el("text", node, x=x, y=y + 4, text_anchor="middle",
+                         font_family="sans-serif", font_size=10))
     parts.append("</svg>\n")
     return "".join(parts)
 

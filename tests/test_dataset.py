@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -883,7 +884,8 @@ class TestDesignMatrix:
 
     def test_matrix_is_read_only(self, nsaid):
         x = build_design_matrix(nsaid)
-        for name in ("a_idx", "b_idx", "gram_index", "xt_index"):
+        assert [f.name for f in dataclasses.fields(x)] == ["a_idx", "b_idx", "column_treatments"]
+        for name in ("a_idx", "b_idx"):
             with pytest.raises(ValueError):
                 getattr(x, name)[0] = 5
 
@@ -1010,6 +1012,13 @@ class TestDatasetInvariants:
         studies = (("s1", "P", "A", math.nan, -0.2), ContrastObservation("s2", "A", "B", 0.1, 0.2))
         with pytest.raises(TypeError, match="studies must be ContrastObservation records"):
             NetworkDataset("x", EffectMeasure.MD, studies)
+
+    def test_name_and_reference_are_stripped(self, nsaid):
+        # a blank one takes its default, as a blank argument of parse_dataset does
+        blank = NetworkDataset(" ", nsaid.measure, nsaid.studies, " ")
+        assert (blank.name, blank.reference) == ("dataset", nsaid.treatments[0])
+        padded = NetworkDataset(" x ", nsaid.measure, nsaid.studies, " Placebo ")
+        assert (padded.name, padded.reference) == ("x", "Placebo")
 
     def test_labels_trimmed(self):
         obs = ContrastObservation("s1", " P ", " A ", 0.5, 0.2)
