@@ -44,6 +44,7 @@ from conftest import (
 )
 
 RECORD = Path(__file__).resolve().parent / "golden" / "record.json"
+NETGEN = Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py"
 
 # Outputs longer than this are recorded as their SHA-256 hash.
 MAX_STORED = 2048
@@ -175,6 +176,10 @@ def _cases() -> dict[str, list[str]]:
     cases["inputs:batch-out-dir"] = ["batch", "{in}", "--out-dir", "{out}"]
     cases["inputs:batch-reml-out-dir"] = ["batch", "{in}", "--tau-method", "reml",
                                           "--out-dir", "{out}"]
+    # the benchmark's seed-1 batch directory: small networks, the corpus and planted files
+    cases["batch-dir:batch-out-dir"] = ["batch", "{in}/batch-dir", "--out-dir", "{out}"]
+    cases["batch-dir:batch-reml-out-dir"] = ["batch", "{in}/batch-dir", "--tau-method", "reml",
+                                             "--out-dir", "{out}"]
     for file, (_, measure) in FAULT_INPUTS.items():
         measure_args = [] if measure is None else ["--measure", measure]
         cases[f"faults/{file}:validate"] = ["validate", f"{{in}}/faults/{file}", *measure_args]
@@ -195,10 +200,33 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
+def _netgen() -> dict:
+    """The namespace of the benchmark's network generator ``perfbench/netgen.py``, made by
+    executing its source, which neither imports it as a module nor writes bytecode next to it."""
+    namespace: dict = {"__name__": "netgen"}
+    exec(compile(NETGEN.read_text(encoding="utf-8"), str(NETGEN), "exec"), namespace)
+    return namespace
+
+
+def write_batch_dir(directory: Path) -> None:
+    """The benchmark's seed-1 batch directory: 180 small networks, the corpus JSON files and
+    the planted bad and untestable files."""
+    netgen = _netgen()
+    directory.mkdir()
+    for doc in netgen["small_networks"](1, 180):
+        netgen["write"](doc, directory / f"{doc['name']}.json")
+    for stem in _CORPUS:
+        (directory / f"{stem}.json").write_bytes((CORPUS_DIR / f"{stem}.json").read_bytes())
+    for file, text in netgen["planted_files"](1).items():
+        (directory / file).write_text(text, encoding="utf-8")
+
+
 def write_inputs(directory: Path) -> None:
-    """The conftest error inputs and the random networks, as JSON files in ``directory``, and
-    the ingestion faults in its ``faults`` subdirectory."""
+    """The conftest error inputs and the random networks, as JSON files in ``directory``, the
+    ingestion faults in its ``faults`` subdirectory and the benchmark's batch directory in
+    ``batch-dir``."""
     (directory / "faults").mkdir()
+    write_batch_dir(directory / "batch-dir")
     for file, (text, _) in FAULT_INPUTS.items():
         (directory / "faults" / file).write_text(text, encoding="utf-8")
     for stem, text in ERROR_INPUTS.items():
