@@ -8,6 +8,7 @@ indented JSON or a human summary where one exists. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,7 +36,9 @@ _EXIT_DATA_ERROR = 1
 _EXIT_USAGE = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nma`` parser, built once per process: ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="nma",
         description="Network meta-analysis heterogeneity models and AIC comparison.",

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Design, NetworkDataset, _designs
-from .models import ModelFit, _bincount, _Fault, _q_total_rows, _raise_fault
+from .models import ModelFit, _bincount, _Fault, _offsets, _q_total_rows, _raise_fault
 from .numerics import NumericError, chi_square_sf
 
 __all__ = [
@@ -167,12 +167,13 @@ def _split(
     w = np.atleast_2d(ds.weights()[keep])
     y_c, fitted_c = ds.effects()[keep] * signs, np.atleast_2d(fitted * signs)
     size = len(ds.design_pairs)
-    sum_w = _bincount(ids, w, size)
+    index = _offsets(ids, size, ids.shape)
+    sum_w = _bincount(index, w, size)
     present = sum_w > 0  # every weight is positive
-    pooled = np.divide(_bincount(ids, w * y_c, size), sum_w, np.zeros_like(sum_w), where=present)
+    pooled = np.divide(_bincount(index, w * y_c, size), sum_w, np.zeros_like(sum_w), where=present)
     pooled_c = np.take_along_axis(pooled, ids, -1)
     per_study_q = w * (y_c - pooled_c) ** 2
-    per_design_q = _bincount(ids, per_study_q, size)
+    per_design_q = _bincount(index, per_study_q, size)
 
     m, n_designs = ids.shape[-1], present.sum(-1)
     df_het, df_inc = m - n_designs, n_designs - (ds.n_treatments - 1)

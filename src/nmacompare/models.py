@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DesignMatrix, NetworkDataset
-from .numerics import NumericError, normal_quantile, solve_spd
+from .numerics import NumericError, normal_quantile
 
 __all__ = [
     "EstimationError",
@@ -74,9 +74,11 @@ class ModelFit:
 
     def __post_init__(self) -> None:
         for name in ("d_hat", "cov", "fitted", "residuals"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if type(arr) is not np.ndarray or arr.dtype != float or arr.flags.writeable:
+                arr = np.asarray(arr, dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def n_params(self) -> int:
@@ -126,10 +128,9 @@ class ModelFit:
 def _log_lik_rows(y: np.ndarray, mean: np.ndarray, cov_diag: np.ndarray):
     """Gaussian log-likelihood with a diagonal covariance, per row of a stack: (log L,
     whether its quadratic form and log det are finite)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        quad = np.sum((y - mean) ** 2 / cov_diag, axis=-1)
-        log_det = np.sum(np.log(cov_diag), axis=-1)
-        log_lik = -0.5 * (y.shape[-1] * math.log(2.0 * math.pi) + log_det + quad)
+    quad = ((y - mean) ** 2 / cov_diag).sum(-1)
+    log_det = np.log(cov_diag).sum(-1)
+    log_lik = -0.5 * (y.shape[-1] * math.log(2.0 * math.pi) + log_det + quad)
     return log_lik, np.isfinite(quad) & np.isfinite(log_det)
 
 
@@ -231,16 +232,16 @@ def _check_tau2(tau2: float) -> None:
         raise EstimationError(f"between-study variance must be a finite number, got {tau2!r}")
 
 
-def _bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sums of ``weights`` into ``size`` bins by ``index``, per row of a 2-D ``weights``.
+def _offsets(index: np.ndarray, size: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``index``, flat and offset so that each row of weights of ``shape`` has ``size`` bins."""
+    rows = np.arange(math.prod(shape[:-1])).reshape(*shape[:-1], 1)
+    return (index + size * rows).ravel()
 
-    ``index`` is one row shared by every row of ``weights``, or a row per row.
-    """
-    if weights.ndim == 1:
-        return np.bincount(index, weights, minlength=size)
-    k = weights.shape[0]
-    index = (index + size * np.arange(k)[:, None]).ravel()
-    return np.bincount(index, weights.ravel(), minlength=k * size).reshape(k, size)
+
+def _bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sums of ``weights`` into ``size`` bins per row, by an ``index`` from ``_offsets``."""
+    rows = weights.shape[:-1]
+    return np.bincount(index, weights.ravel(), minlength=math.prod(rows) * size).reshape(*rows, size)
 
 
 def _rows(x: DesignMatrix):
@@ -248,24 +249,36 @@ def _rows(x: DesignMatrix):
     return np.arange(len(x.a_idx))[:, None] if x.a_idx.ndim == 2 else ...
 
 
-def _gram(x: DesignMatrix, w: np.ndarray) -> np.ndarray:
-    """X' diag(w) X, the weighted Laplacian of the network without the reference.
-
-    ``w`` holds one weight per study, or a (k, m) stack of weight vectors for
-    a (k, p, p) stack of matrices. Entries may come back non-finite when the
-    weights are extreme; ``_gls_rows`` checks them.
-    """
+def _gram_index(x: DesignMatrix, shape: tuple[int, ...]) -> np.ndarray:
+    """The bincount index of X'WX for weights of ``shape``."""
     size, a, b = x.cols + 1, x.a_idx, x.b_idx
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # flat entries (a, a), (b, b), (lo, hi), (hi, lo) of each row: X'WX is exactly symmetric
     index = np.concatenate((a * size + a, b * size + b, lo * size + hi, hi * size + lo), axis=-1)
+    return _offsets(index, size * size, shape)
+
+
+def _xt_index(x: DesignMatrix, shape: tuple[int, ...]) -> np.ndarray:
+    """The bincount index of X'v for ``v`` of ``shape``."""
+    return _offsets(np.concatenate((x.b_idx, x.a_idx), axis=-1), x.cols + 1, shape)
+
+
+def _gram(x: DesignMatrix, w: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """X' diag(w) X, the weighted Laplacian of the network without the reference.
+
+    ``w`` holds one weight per study, or a (..., m) stack of weights for a (..., p, p)
+    stack of matrices; ``index``, if given, is ``_gram_index(x, w.shape)``. Entries may
+    come back non-finite when the weights are extreme; ``_gls_solve`` checks them.
+    """
+    size = x.cols + 1
+    index = _gram_index(x, w.shape) if index is None else index
     flat = _bincount(index, np.concatenate((w, w, -w, -w), axis=-1), size * size)
     return flat.reshape(*w.shape[:-1], size, size)[..., :-1, :-1]
 
 
-def _xt(x: DesignMatrix, v: np.ndarray) -> np.ndarray:
-    """X'v, per row of a 2-D ``v``."""
-    index = np.concatenate((x.b_idx, x.a_idx), axis=-1)
+def _xt(x: DesignMatrix, v: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """X'v, per row of a stacked ``v``; ``index``, if given, is ``_xt_index(x, v.shape)``."""
+    index = _xt_index(x, v.shape) if index is None else index
     return _bincount(index, np.concatenate((v, -v), axis=-1), x.cols + 1)[..., :-1]
 
 
@@ -314,25 +327,31 @@ def _gls_rows(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray) -> _GlsFit:
     its own studies. Never raises: ``fault`` is OVERFLOW where X'WX overflows
     and NOT_PD where it does not factor; such a row is solved against the
     identity instead, and its results mean nothing.
+
+    It factors and solves as ``solve_spd`` does, but not through it: X'WX is
+    exactly symmetric by construction and its finiteness is checked here, so
+    that function's conversions and checks would only add per-call overhead.
     """
     w = 1.0 / sigma2
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = _gram(x, w)
-        xty = _xt(x, w * y)
+    return _gls_solve(x, _gram(x, w), _xt(x, w * y))
+
+
+def _gls_solve(x: DesignMatrix, gram: np.ndarray, xty: np.ndarray) -> _GlsFit:
+    """``_gls_rows`` from X'WX and X'Wy; it writes the identity over each X'WX that fails."""
     finite = ok = np.isfinite(gram).all(axis=(-2, -1))
     if not finite.all():
         gram[~finite] = np.eye(x.cols)
     try:
-        fit = solve_spd(gram, xty[..., None])
-    except NumericError:
-        # the one error left for an exactly symmetric, finite X'WX
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         factors = [_factors(g) for g in gram.reshape(-1, x.cols, x.cols)]
         ok = finite & np.reshape(factors, finite.shape)
         gram[~ok] = np.eye(x.cols)
-        fit = solve_spd(gram, xty[..., None])
-    d_hat = fit.solution[..., 0]
+        lower = np.linalg.cholesky(gram)
+    log_det = 2.0 * np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum(axis=-1)
+    d_hat = np.linalg.solve(np.swapaxes(lower, -2, -1), np.linalg.solve(lower, xty[..., None]))[..., 0]
     fault = _first(_Fault.OVERFLOW * ~finite, _Fault.NOT_PD * ~ok)
-    return _GlsFit(d_hat, fit.lower, fit.log_det, _x_times(x, d_hat), fault)
+    return _GlsFit(d_hat, lower, log_det, _x_times(x, d_hat), fault)
 
 
 def _cov(lower: np.ndarray) -> np.ndarray:
@@ -344,7 +363,7 @@ def _cov(lower: np.ndarray) -> np.ndarray:
 
 def _restricted_loglik(sigma2: np.ndarray, log_det, resid: np.ndarray):
     """l_R = -1/2 [log det Sigma + log det X'Sigma^-1 X + r'Sigma^-1 r], per row of a stack."""
-    return -0.5 * (np.sum(np.log(sigma2), axis=-1) + log_det + np.sum(resid**2 / sigma2, axis=-1))
+    return -0.5 * (np.log(sigma2).sum(-1) + log_det + (resid**2 / sigma2).sum(-1))
 
 
 class _Fit(NamedTuple):
@@ -359,11 +378,15 @@ class _Fit(NamedTuple):
 
 
 def _fit_rows(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray) -> _Fit:
-    """``_gls_rows`` with C, the residuals and log L; LOG_LIK marks a log L that overflows."""
+    """``_gls_rows`` with C, the residuals and log L; LOG_LIK marks a log L that overflows.
+    The stacks are read-only, so a ``ModelFit`` takes its rows as they are."""
     fit = _gls_rows(x, y, sigma2)
     log_lik, finite = _log_lik_rows(y, fit.fitted, sigma2)
     fault = _first(fit.fault, _Fault.LOG_LIK * ~finite)
-    return _Fit(fit.d_hat, _cov(fit.lower), fit.fitted, y - fit.fitted, log_lik, fault)
+    arrays = (fit.d_hat, _cov(fit.lower), fit.fitted, y - fit.fitted)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _Fit(*arrays, log_lik, fault)
 
 
 def _model_fit(kind: ModelKind, fit: _Fit, row, ci_level: float, ds: NetworkDataset, **het):
@@ -419,7 +442,7 @@ def _require_fe(fe: ModelFit) -> None:
 
 def _q_total_rows(resid: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Q_total = r' V^-1 r of FE residuals ``resid`` per row; it may overflow."""
-    return np.sum(resid * resid * w, axis=-1)
+    return (resid * resid * w).sum(-1)
 
 
 def _me_rows(y: np.ndarray, fitted: np.ndarray, v: np.ndarray, q_tot: np.ndarray, df: int):
@@ -454,8 +477,8 @@ def fit_me(ds: NetworkDataset, fe: ModelFit) -> ModelFit:
 
 def _dl_rows(x: DesignMatrix, w: np.ndarray, cov: np.ndarray, q_tot: np.ndarray, df: int):
     """The moment estimator per row of a stack: (tau2, its denominator, fault)."""
-    trace = np.sum(w * w * _leverages(x, cov), axis=-1)
-    denom = np.sum(w, axis=-1) - trace
+    trace = (w * w * _leverages(x, cov)).sum(-1)
+    denom = w.sum(-1) - trace
     ratio = (q_tot - df) / denom
     fault = _first(
         _Fault.NO_DF * (df <= 0), _Fault.DL_TRACE * ~np.isfinite(trace),
@@ -534,40 +557,38 @@ def _reml_scan(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray):
     return _restricted_loglik(sigma2, fit.log_det, y - fit.fitted), fit.fault
 
 
-def _newton_terms(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray, lower, log_det, fitted):
-    """l_R, its score and the observed information -d^2 l_R / d tau2^2, per row of a stack.
+def _newton_step(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray, index):
+    """l_R, its score, the observed information -d^2 l_R / d tau2^2 and whether X'WX
+    factors at ``sigma2`` = V + tau2 I, per row of a stack: one REML Newton step.
 
-    ``lower``, ``log_det`` and ``fitted`` are the GLS fit at ``sigma2`` =
-    V + tau2 I. With W = (V + tau2 I)^-1, C = (X'WX)^-1 from ``_cov``,
-    P = W - W X C X' W and r the GLS residuals (so P y = W r):
+    ``index`` is ``(_gram_index(x, (2, *sigma2.shape)), _xt_index(x, sigma2.shape))``: X'WX
+    and X'W^2X are summed by one bincount. With W = (V + tau2 I)^-1,
+    C = (X'WX)^-1 from ``_cov``, P = W - W X C X' W and r the GLS residuals
+    (so P y = W r):
 
     * score       = 1/2 [ (Wr)'(Wr) - tr P ]
     * information = y' P^3 y - 1/2 tr P^2
 
     tr P and tr P^2 come from the leverages x_i' C x_i and from
-    tr((C L2)^2), where L2 = X'W^2X is the Laplacian at weights w^2;
-    y' P^3 y is the weighted residual sum of squares of a GLS fit of P y.
-    Extreme weights can overflow w^2 and w^3, so the score or information
-    may come back non-finite, without a warning; the caller then bisects.
+    tr((C L2)^2), where L2 = X'W^2X is the Laplacian at weights w^2; y' P^3 y
+    is the weighted residual sum of squares of a GLS fit of P y. Extreme
+    weights can overflow w^2 and w^3, so the score or information may come
+    back non-finite; the caller then bisects.
     """
     w = 1.0 / sigma2
-    c = _cov(lower)
-    resid = y - fitted
+    w2 = w * w
+    gram, gram2 = _gram(x, np.stack((w, w2)), index[0])
+    fit = _gls_solve(x, gram, _xt(x, w * y, index[1]))
+    c = _cov(fit.lower)
+    resid = y - fit.fitted
     py = w * resid
-    value = _restricted_loglik(sigma2, log_det, resid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = w * w
-        lev = _leverages(x, c)
-        tr_p = np.sum(w - w2 * lev, axis=-1)
-        score = 0.5 * (np.sum(py * py, axis=-1) - tr_p)
-        ppy = py - _x_times(x, (c @ _xt(x, w * py)[..., None])[..., 0])
-        k = c @ _gram(x, w2)
-        tr_p2 = (
-            np.sum(w2, axis=-1) - 2.0 * np.sum(w2 * w * lev, axis=-1)
-            + np.sum(k * np.swapaxes(k, -2, -1), axis=(-2, -1))
-        )
-        info = np.sum(w * ppy * ppy, axis=-1) - 0.5 * tr_p2
-    return value, score, info
+    lev = _leverages(x, c)
+    score = 0.5 * ((py * py).sum(-1) - (w - w2 * lev).sum(-1))
+    ppy = py - _x_times(x, (c @ _xt(x, w * py, index[1])[..., None])[..., 0])
+    k = c @ gram2
+    tr_p2 = w2.sum(-1) - 2.0 * (w2 * w * lev).sum(-1) + (k * np.swapaxes(k, -2, -1)).sum((-2, -1))
+    info = (w * ppy * ppy).sum(-1) - 0.5 * tr_p2
+    return _restricted_loglik(sigma2, fit.log_det, resid), score, info, fit.fault == _Fault.NONE
 
 
 def _reml_refine(grid: np.ndarray, values: np.ndarray, terms):
@@ -578,7 +599,12 @@ def _reml_refine(grid: np.ndarray, values: np.ndarray, terms):
     rows ``rows``. Each row keeps its own bracket and stops on its own rule.
     Returns (tau2, beyond, ok) per row: ``beyond`` marks a maximizer past the
     last scan point, where tau2 means nothing, and ``ok`` is False where
-    ``terms`` failed, with tau2 the point where it did.
+    ``terms`` failed, with tau2 the point where it did. Rows only drop out.
+
+    The point of a row's last step is evaluated though the step is within
+    the tolerance: its l_R decides between it and the best scan point. Left
+    unevaluated, the refit without s1 of the swamped-Gram LOO network
+    (``SWAMPED_GRAM_LOO`` in the tests) moves from delta AIC -44.2933 to -42.93.
     """
     rows = np.arange(len(grid))
     best = np.argmax(values, axis=-1)
@@ -598,10 +624,7 @@ def _reml_refine(grid: np.ndarray, values: np.ndarray, terms):
         r = np.flatnonzero(live)
         if not len(r):
             break
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            newton = np.where(
-                (info[r] > 0) & np.isfinite(info[r]), t[r] + score[r] / info[r], np.nan
-            )
+        newton = np.where((info[r] > 0) & np.isfinite(info[r]), t[r] + score[r] / info[r], np.nan)
         inside = (lo[r] < newton) & (newton < hi[r])
         inside &= np.abs(newton - t[r]) <= 0.5 * np.abs(step[r])
         step[r] = np.where(inside, newton - t[r], 0.5 * (lo[r] + hi[r]) - t[r])
@@ -680,18 +703,21 @@ def _reml_rows(x: DesignMatrix, y: np.ndarray, v: np.ndarray):
         _Fault.SCAN_VALUE * ~np.isfinite(values).all(-1),
     ).reshape(-1)
     live = np.flatnonzero(fault == _Fault.NONE)
+    held = {}  # by its count, the last set of rows: its design, data and bincount indices
 
     def terms(t, rows):
         # X'WX at tau2 >= 0 is bounded by X'WX at tau2 = 0, which the scan
-        # checked, so a Newton point can fail to factor but not overflow
-        if y.ndim == 1:
-            sub, y_sub, sigma2 = x, y, v + t[0]
-        else:
+        # checked, so a Newton point can fail to factor but not overflow.
+        # Rows only drop out, so a new count is a new set of rows.
+        if len(rows) not in held:
+            held.clear()
             r = live[rows]
-            sub = DesignMatrix(x.a_idx[r], x.b_idx[r], x.column_treatments)
-            y_sub, sigma2 = y[r], v[r] + t[:, None]
-        fit = _gls_rows(sub, y_sub, sigma2)
-        return (*_newton_terms(sub, y_sub, sigma2, *fit[1:4]), fit.fault == _Fault.NONE)
+            x_r, y_r, v_r = (x, y, v) if y.ndim == 1 or len(r) == len(y) else (
+                DesignMatrix(x.a_idx[r], x.b_idx[r], x.column_treatments), y[r], v[r])
+            index = _gram_index(x_r, (2, *v_r.shape)), _xt_index(x_r, v_r.shape)
+            held[len(rows)] = x_r, y_r, v_r, index
+        x_r, y_r, v_r, index = held[len(rows)]
+        return _newton_step(x_r, y_r, v_r + (t[0] if y.ndim == 1 else t[:, None]), index)
 
     tau2 = np.zeros(len(fault))
     if len(live):

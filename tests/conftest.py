@@ -224,10 +224,35 @@ def dense_design(x: DesignMatrix) -> np.ndarray:
 
 
 def newton_terms(ds: NetworkDataset, tau2: float):
-    """l_R, its score and the observed information at ``tau2``: the terms of a REML Newton step."""
+    """Test oracle: l_R, its score and the observed information at ``tau2``, the terms of a
+    REML Newton step, from the GLS fit of ``models._gls_rows`` and the projection formulas.
+
+    With W = (V + tau2 I)^-1, C = (X'WX)^-1, P = W - W X C X' W and r the GLS
+    residuals (so P y = W r): score = 1/2 [(Wr)'(Wr) - tr P] and information
+    = y' P^3 y - 1/2 tr P^2. tr P and tr P^2 = sum w^2 - 2 sum w^3 lev +
+    tr((C L2)^2) come from the leverages lev_i = x_i' C x_i and L2 = X'W^2X;
+    y' P^3 y is the weighted residual sum of squares of a GLS fit of P y.
+    """
+    x, y = ds.design, ds.effects()
     sigma2 = ds.variances() + tau2
-    fit = models._gls_rows(ds.design, ds.effects(), sigma2)
-    return models._newton_terms(ds.design, ds.effects(), sigma2, fit.lower, fit.log_det, fit.fitted)
+    fit = models._gls_rows(x, y, sigma2)
+    w = 1.0 / sigma2
+    c = models._cov(fit.lower)
+    resid = y - fit.fitted
+    py = w * resid
+    value = models._restricted_loglik(sigma2, fit.log_det, resid)
+    w2 = w * w
+    lev = models._leverages(x, c)
+    tr_p = np.sum(w - w2 * lev, axis=-1)
+    score = 0.5 * (np.sum(py * py, axis=-1) - tr_p)
+    ppy = py - models._x_times(x, (c @ models._xt(x, w * py)[..., None])[..., 0])
+    k = c @ models._gram(x, w2)
+    tr_p2 = (
+        np.sum(w2, axis=-1) - 2.0 * np.sum(w2 * w * lev, axis=-1)
+        + np.sum(k * np.swapaxes(k, -2, -1), axis=(-2, -1))
+    )
+    info = np.sum(w * ppy * ppy, axis=-1) - 0.5 * tr_p2
+    return value, score, info
 
 
 def gaussian_log_lik(y, mean, variances) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nmacompare import NetworkDataset, analysis
-from nmacompare.cli import main
+from nmacompare.cli import build_parser, main
 
 from conftest import (
     CORPUS_DIR,
@@ -61,6 +61,24 @@ def test_cli_import_needs_no_scipy():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """``main`` parses with one parser per process. A usage error and ``--help`` leave it as
+    it was, so a ``loo`` after them writes the bytes that a fresh process writes."""
+    assert build_parser() is build_parser()
+    assert run(capsys, "loo", SMOKE_JSON, "--frobnicate")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+    argv = ["loo", SMOKE_JSON, "--tau-method", "reml"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-m", "nmacompare.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 0 and fresh.stdout
 
 
 def test_non_finite_results_are_not_written_as_json(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nmacompare import (
     ContrastObservation,
+    DesignMatrix,
     EffectMeasure,
     NetworkDataset,
     estimate_tau2_dl,
@@ -122,6 +123,47 @@ def test_newton_value_is_the_objective_on_the_corpus(request, name):
     ds = request.getfixturevalue(name)
     for tau2 in (0.0, 1e-3, 0.1, 1.0, estimate_tau2_reml(ds)):
         assert newton_terms(ds, tau2)[0] == reml_objective(tau2, ds)
+
+
+def _newton_step(x: DesignMatrix, y: np.ndarray, sigma2: np.ndarray):
+    """One REML Newton step at variances ``sigma2``, with the bincount indices its caller forms."""
+    index = models._gram_index(x, (2, *sigma2.shape)), models._xt_index(x, sigma2.shape)
+    return models._newton_step(x, y, sigma2, index)
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(networks(), st.floats(0.0, 2.0))
+def test_newton_step_equals_the_oracle(ds, tau2):
+    """The fused Newton step gives the oracle's l_R, score and information to the last bit."""
+    *terms, ok = _newton_step(ds.design, ds.effects(), ds.variances() + tau2)
+    assert ok
+    np.testing.assert_array_equal(terms, newton_terms(ds, tau2))
+
+
+@pytest.mark.parametrize("name", ["smoke", "nsaid", "biologics"])
+def test_newton_step_equals_the_oracle_on_the_corpus(request, name):
+    ds = request.getfixturevalue(name)
+    for tau2 in (0.0, 1e-3, 0.1, 1.0, estimate_tau2_reml(ds)):
+        step = _newton_step(ds.design, ds.effects(), ds.variances() + tau2)
+        np.testing.assert_array_equal(step[:3], newton_terms(ds, tau2))
+
+
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(networks(), st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6))
+def test_stacked_newton_step_equals_one_row_steps(ds, taus):
+    """Row r of a k-row step, each row a refit without one study at its own tau2, equals the
+    one-dataset step of that refit to the last bit."""
+    x, y, v, m = ds.design, ds.effects(), ds.variances(), ds.n_studies
+    k = min(len(taus), m)
+    keep = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(k)[:, None])
+    rows = DesignMatrix(x.a_idx[keep], x.b_idx[keep], x.column_treatments)
+    sigma2 = v[keep] + np.array(taus[:k])[:, None]
+    with np.errstate(all="ignore"):  # a refit may lose its network, as in the callers
+        stacked = _newton_step(rows, y[keep], sigma2)
+        for r in range(k):
+            one = DesignMatrix(x.a_idx[keep[r]], x.b_idx[keep[r]], x.column_treatments)
+            got = _newton_step(one, y[keep[r]], sigma2[r])
+            np.testing.assert_array_equal([term[r] for term in stacked], got)
 
 
 def wide_network(n: int = 300, m: int = 5000) -> NetworkDataset:

@@ -248,15 +248,21 @@ class TestTau2Reml:
         assert estimate_tau2_reml(duplicates) == 0.0
 
     def test_solves_at_most_p_plus_one_columns(self, smoke, monkeypatch):
-        """The Newton terms come from C = (X'WX)^-1, not from a solve against X'."""
+        """The Newton terms come from C = (X'WX)^-1, not from a solve against X'. Counts the
+        right-hand-side columns of every ``np.linalg.solve`` and ``np.linalg.inv`` call."""
         widths = []
-        solve_spd = models.solve_spd
+        solve, inv = np.linalg.solve, np.linalg.inv
 
-        def spy(a, b):
-            widths.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
-            return solve_spd(a, b)
+        def solve_spy(a, b):
+            widths.append(1 if np.ndim(b) == 1 else np.shape(b)[-1])
+            return solve(a, b)
 
-        monkeypatch.setattr(models, "solve_spd", spy)
+        def inv_spy(a):
+            widths.append(np.shape(a)[-1])
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_spy)
+        monkeypatch.setattr(np.linalg, "inv", inv_spy)
         for ds in (smoke, large_random_network()):
             widths.clear()
             estimate_tau2_reml(ds)
